@@ -19,11 +19,11 @@ echo "== ThreadSanitizer build (simrt runtime tests) =="
 cmake -B build-tsan -S . -DVPAR_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" \
   --target test_simrt test_simrt_stress test_simrt_nonblocking test_simrt_executor \
-  test_simrt_faults test_simrt_hybrid test_locality test_trace test_service test_transport \
+  test_simrt_faults test_simrt_hybrid test_trace test_service test_transport \
   test_simd test_simd_equivalence test_part test_qcd
 
 for t in test_simrt test_simrt_stress test_simrt_nonblocking test_simrt_executor \
-         test_simrt_faults test_simrt_hybrid test_locality test_trace test_service \
+         test_simrt_faults test_simrt_hybrid test_trace test_service \
          test_transport test_simd test_simd_equivalence test_part test_qcd; do
   echo "-- TSan: $t"
   TSAN_OPTIONS="halt_on_error=1" "./build-tsan/tests/$t"

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstddef>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -69,87 +68,31 @@ int read_int(const std::string& path, int fallback) {
   }
 }
 
-Topology fallback_topology() {
-  Topology t;
+HostTopology fallback_topology() {
+  HostTopology t;
   const unsigned hc = std::thread::hardware_concurrency();
   const int n = hc > 0 ? static_cast<int>(hc) : 1;
   t.cpus.reserve(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c) t.cpus.push_back({c, c, 0, false});
+  for (int c = 0; c < n; ++c) t.cpus.push_back({c, c, 0});
   t.num_nodes = 1;
   t.probed = false;
   return t;
 }
 
-/// Shared shape of the two pin orders: primary threads of physical cores
-/// first, SMT siblings after, each half emitted by `emit`.
-std::vector<int> build_order(
-    const std::vector<CpuInfo>& cpus,
-    const std::function<void(std::vector<CpuInfo>&, std::vector<int>&)>& emit) {
-  std::vector<CpuInfo> primaries;
-  std::vector<CpuInfo> secondaries;
-  for (const CpuInfo& c : cpus) {
-    (c.smt_secondary ? secondaries : primaries).push_back(c);
-  }
-  std::vector<int> order;
-  order.reserve(cpus.size());
-  emit(primaries, order);
-  emit(secondaries, order);
-  return order;
-}
-
 }  // namespace
 
-int Topology::num_cores() const {
+int HostTopology::num_cores() const {
   std::set<int> cores;
   for (const CpuInfo& c : cpus) cores.insert(c.core);
   return static_cast<int>(cores.size());
 }
 
-int Topology::node_of(int cpu) const {
-  for (const CpuInfo& c : cpus) {
-    if (c.cpu == cpu) return c.node;
-  }
-  return 0;
-}
-
-std::vector<int> Topology::pin_order_compact() const {
-  return build_order(cpus, [](std::vector<CpuInfo>& group, std::vector<int>& out) {
-    std::sort(group.begin(), group.end(), [](const CpuInfo& a, const CpuInfo& b) {
-      return std::tie(a.node, a.core, a.cpu) < std::tie(b.node, b.core, b.cpu);
-    });
-    for (const CpuInfo& c : group) out.push_back(c.cpu);
-  });
-}
-
-std::vector<int> Topology::pin_order_scatter() const {
-  return build_order(cpus, [](std::vector<CpuInfo>& group, std::vector<int>& out) {
-    // Queue per node, then deal one cpu from each node in turn.
-    std::map<int, std::vector<CpuInfo>> by_node;
-    for (const CpuInfo& c : group) by_node[c.node].push_back(c);
-    for (auto& [node, list] : by_node) {
-      std::sort(list.begin(), list.end(), [](const CpuInfo& a, const CpuInfo& b) {
-        return std::tie(a.core, a.cpu) < std::tie(b.core, b.cpu);
-      });
-    }
-    for (std::size_t i = 0; true; ++i) {
-      bool any = false;
-      for (auto& [node, list] : by_node) {
-        if (i < list.size()) {
-          out.push_back(list[i].cpu);
-          any = true;
-        }
-      }
-      if (!any) break;
-    }
-  });
-}
-
-Topology probe_topology(const std::string& sysfs_root) {
+HostTopology probe_topology(const std::string& sysfs_root) {
   const std::string cpu_root = sysfs_root + "/devices/system/cpu";
   const std::vector<int> online = parse_cpu_list(read_line(cpu_root + "/online"));
   if (online.empty()) return fallback_topology();
 
-  Topology t;
+  HostTopology t;
   t.probed = true;
 
   // NUMA membership: node directories are sparse ("node0", "node2", ...);
@@ -181,9 +124,6 @@ Topology probe_topology(const std::string& sysfs_root) {
     const auto key = std::make_pair(package, core_id);
     info.core =
         core_index.emplace(key, static_cast<int>(core_index.size())).first->second;
-    const std::vector<int> siblings =
-        parse_cpu_list(read_line(topo + "/thread_siblings_list"));
-    info.smt_secondary = !siblings.empty() && siblings.front() != cpu;
     auto node_it = cpu_node.find(cpu);
     info.node = node_it != cpu_node.end() ? node_it->second : 0;
     t.cpus.push_back(info);
@@ -191,8 +131,8 @@ Topology probe_topology(const std::string& sysfs_root) {
   return t;
 }
 
-const Topology& host_topology() {
-  static const Topology topology = probe_topology("/sys");
+const HostTopology& host_topology() {
+  static const HostTopology topology = probe_topology("/sys");
   return topology;
 }
 

@@ -5,26 +5,22 @@
 
 namespace vpar::arch {
 
-/// One logical CPU of the host processor topology. `cpu` is the id that
-/// affinity masks use; `core` is a dense physical-core index (SMT siblings
-/// share it); `node` is the NUMA node owning the cpu's local memory.
+/// One logical CPU of the host processor topology. `cpu` is the kernel's
+/// logical cpu id; `core` is a dense physical-core index (SMT siblings share
+/// it); `node` is the NUMA node owning the cpu's local memory.
 struct CpuInfo {
   int cpu = 0;
   int core = 0;
   int node = 0;
-  /// True when this logical cpu is not the lowest-numbered sibling of its
-  /// physical core — a hyperthread sharing execution resources with another
-  /// logical cpu. Pin orders place these last.
-  bool smt_secondary = false;
 };
 
-/// Host processor topology: logical cpus with their physical core, SMT role
-/// and NUMA node, as read from the Linux sysfs tree. On hosts without a
-/// readable sysfs (non-Linux, restricted containers) the portable fallback
-/// reports hardware_concurrency() cpus as distinct cores on a single node
-/// with `probed == false` — callers still get valid pin orders, just without
-/// real placement information.
-struct Topology {
+/// Host processor topology: logical cpus with their physical core and NUMA
+/// node, as read from the Linux sysfs tree — the cpu/core/node counts of a
+/// benchmark's host fingerprint. On hosts without a readable sysfs
+/// (non-Linux, restricted containers) the portable fallback reports
+/// hardware_concurrency() cpus as distinct cores on a single node with
+/// `probed == false`.
+struct HostTopology {
   std::vector<CpuInfo> cpus;
   int num_nodes = 1;
   bool probed = false;
@@ -33,29 +29,15 @@ struct Topology {
 
   /// Distinct physical cores (<= num_cpus when SMT is present).
   [[nodiscard]] int num_cores() const;
-
-  /// NUMA node of a logical cpu (0 when unknown).
-  [[nodiscard]] int node_of(int cpu) const;
-
-  /// Cpu ids in pinning order for `slot = 0, 1, ...`:
-  ///  - compact: fill one NUMA node's physical cores before moving to the
-  ///    next node; SMT siblings only after every physical core is taken.
-  ///    Neighbouring ranks land close together — the layout that keeps a
-  ///    halo exchange's producer and consumer on one node.
-  ///  - scatter: round-robin physical cores across NUMA nodes (then SMT
-  ///    siblings likewise) — the layout that spreads memory bandwidth
-  ///    demand over every memory controller.
-  [[nodiscard]] std::vector<int> pin_order_compact() const;
-  [[nodiscard]] std::vector<int> pin_order_scatter() const;
 };
 
 /// Probe the topology under `sysfs_root` (normally "/sys"; tests point it at
 /// a synthetic tree or a nonexistent path to exercise the fallback). Never
 /// throws: any unreadable file degrades to the portable fallback values for
 /// that field.
-[[nodiscard]] Topology probe_topology(const std::string& sysfs_root);
+[[nodiscard]] HostTopology probe_topology(const std::string& sysfs_root);
 
 /// The real host's topology, probed once per process from "/sys".
-[[nodiscard]] const Topology& host_topology();
+[[nodiscard]] const HostTopology& host_topology();
 
 }  // namespace vpar::arch

@@ -224,12 +224,4 @@ void Mailbox::reset() {
   pending_.clear();
 }
 
-std::size_t Mailbox::place(std::size_t slots) {
-  std::lock_guard lock(mutex_);
-  const std::size_t before = queue_.capacity();
-  queue_.reserve(slots);
-  const std::size_t grown = queue_.capacity() - before;
-  return grown * sizeof(Message);
-}
-
 }  // namespace vpar::simrt

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "arch/cpu_model.hpp"
 #include "arch/machine_model.hpp"
 #include "arch/network_model.hpp"
 #include "arch/platform.hpp"
+#include "arch/topology.hpp"
 
 namespace vpar::arch {
 namespace {
@@ -288,6 +295,115 @@ TEST(MachineModel, HiddenTimeNeverExceedsCompute) {
   const auto pred = MachineModel(earth_simulator()).predict(app);
   EXPECT_LE(pred.comm_hidden_seconds, pred.compute_seconds + 1e-18);
   EXPECT_GE(pred.comm_seconds, pred.comm_serialized_seconds);
+}
+
+
+// --- host topology probe -----------------------------------------------------
+
+namespace fs = std::filesystem;
+
+/// Builds a synthetic sysfs tree under a temp dir; probe_topology takes the
+/// root so tests never depend on the host's real /sys.
+class SysfsTree {
+ public:
+  SysfsTree() {
+    root_ = fs::temp_directory_path() /
+            ("vpar_topology_sysfs_" + std::to_string(::getpid()));
+    fs::remove_all(root_);
+    fs::create_directories(root_);
+  }
+  ~SysfsTree() { fs::remove_all(root_); }
+
+  void write(const std::string& rel, const std::string& content) {
+    const fs::path path = root_ / rel;
+    fs::create_directories(path.parent_path());
+    std::ofstream out(path);
+    out << content << "\n";
+  }
+
+  void add_cpu(int cpu, int package, int core, const std::string& siblings) {
+    const std::string base = "devices/system/cpu/cpu" + std::to_string(cpu) + "/topology/";
+    write(base + "physical_package_id", std::to_string(package));
+    write(base + "core_id", std::to_string(core));
+    write(base + "thread_siblings_list", siblings);
+  }
+
+  [[nodiscard]] std::string path() const { return root_.string(); }
+
+ private:
+  fs::path root_;
+};
+
+std::vector<int> cores_of(const HostTopology& t) {
+  std::vector<int> cores;
+  for (const CpuInfo& c : t.cpus) cores.push_back(c.core);
+  return cores;
+}
+
+std::vector<int> nodes_of(const HostTopology& t) {
+  std::vector<int> nodes;
+  for (const CpuInfo& c : t.cpus) nodes.push_back(c.node);
+  return nodes;
+}
+
+TEST(TopologyProbe, FallbackWhenSysfsMissing) {
+  const HostTopology t = probe_topology("/nonexistent/sysfs/root");
+  EXPECT_FALSE(t.probed);
+  EXPECT_GE(t.num_cpus(), 1);
+  EXPECT_EQ(t.num_nodes, 1);
+  // The fallback reports every cpu as its own core.
+  EXPECT_EQ(t.num_cores(), t.num_cpus());
+}
+
+TEST(TopologyProbe, MalformedOnlineListFallsBack) {
+  SysfsTree tree;
+  tree.write("devices/system/cpu/online", "zero-to-three");
+  const HostTopology t = probe_topology(tree.path());
+  EXPECT_FALSE(t.probed);
+  EXPECT_GE(t.num_cpus(), 1);
+}
+
+TEST(TopologyProbe, TwoNodeBoxMembership) {
+  SysfsTree tree;
+  tree.write("devices/system/cpu/online", "0-3");
+  for (int c = 0; c < 4; ++c) tree.add_cpu(c, 0, c, std::to_string(c));
+  tree.write("devices/system/node/node0/cpulist", "0-1");
+  tree.write("devices/system/node/node1/cpulist", "2-3");
+
+  const HostTopology t = probe_topology(tree.path());
+  ASSERT_TRUE(t.probed);
+  EXPECT_EQ(t.num_cpus(), 4);
+  EXPECT_EQ(t.num_cores(), 4);
+  EXPECT_EQ(t.num_nodes, 2);
+  EXPECT_EQ(nodes_of(t), (std::vector<int>{0, 0, 1, 1}));
+  EXPECT_EQ(cores_of(t), (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(TopologyProbe, SmtSiblingsShareACore) {
+  SysfsTree tree;
+  tree.write("devices/system/cpu/online", "0-3");
+  // Two physical cores, hyperthreaded: cpu0/cpu2 share core 0, cpu1/cpu3
+  // share core 1 (the interleaved numbering real kernels use).
+  tree.add_cpu(0, 0, 0, "0,2");
+  tree.add_cpu(2, 0, 0, "0,2");
+  tree.add_cpu(1, 0, 1, "1,3");
+  tree.add_cpu(3, 0, 1, "1,3");
+
+  const HostTopology t = probe_topology(tree.path());
+  ASSERT_TRUE(t.probed);
+  EXPECT_EQ(t.num_cpus(), 4);
+  EXPECT_EQ(t.num_cores(), 2);
+  EXPECT_EQ(t.num_nodes, 1);
+  // Dense core indices in cpu order: siblings map to the same index.
+  EXPECT_EQ(cores_of(t), (std::vector<int>{0, 1, 0, 1}));
+}
+
+TEST(TopologyProbe, HostProbeIsSane) {
+  const HostTopology& t = host_topology();
+  EXPECT_GE(t.num_cpus(), 1);
+  EXPECT_GE(t.num_nodes, 1);
+  EXPECT_GE(t.num_cores(), 1);
+  EXPECT_LE(t.num_cores(), t.num_cpus());
 }
 
 }  // namespace

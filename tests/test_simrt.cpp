@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <numeric>
 #include <vector>
 
+#include "simrt/arena.hpp"
 #include "simrt/coarray.hpp"
+#include "simrt/mailbox.hpp"
 #include "simrt/runtime.hpp"
 
 namespace vpar::simrt {
@@ -249,6 +253,116 @@ TEST(Simrt, CoArrayRecordsOneSidedTraffic) {
   });
   EXPECT_DOUBLE_EQ(result.per_rank[0].comm().bytes(perf::CommKind::OneSided), 64.0);
   EXPECT_DOUBLE_EQ(result.per_rank[0].comm().messages(perf::CommKind::OneSided), 1.0);
+}
+
+
+// --- message ring ------------------------------------------------------------
+
+Message tagged(int tag) {
+  Message m;
+  m.tag = tag;
+  return m;
+}
+
+std::vector<int> tags_of(MessageRing& ring) {
+  std::vector<int> tags;
+  for (std::size_t i = 0; i < ring.size(); ++i) tags.push_back(ring[i].tag);
+  return tags;
+}
+
+TEST(MessageRing, PushAndTakeAreFifo) {
+  MessageRing ring;
+  for (int t = 0; t < 6; ++t) ring.push_back(tagged(t));
+  EXPECT_EQ(ring.size(), 6u);
+  for (int t = 0; t < 6; ++t) EXPECT_EQ(ring.take(0).tag, t);
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(MessageRing, GrowthPreservesOrder) {
+  MessageRing ring;
+  for (int t = 0; t < 100; ++t) ring.push_back(tagged(t));
+  EXPECT_GE(ring.capacity(), 100u);
+  for (int t = 0; t < 100; ++t) EXPECT_EQ(ring.take(0).tag, t);
+}
+
+TEST(MessageRing, WrapAroundKeepsFifoOrder) {
+  MessageRing ring;
+  ring.reserve(16);
+  const std::size_t cap = ring.capacity();
+  // March the head around the ring several times with a steady queue depth,
+  // so logical indices wrap the physical slots.
+  int next = 0, expect = 0;
+  for (int i = 0; i < 8; ++i) ring.push_back(tagged(next++));
+  for (std::size_t step = 0; step < 5 * cap; ++step) {
+    EXPECT_EQ(ring.take(0).tag, expect++);
+    ring.push_back(tagged(next++));
+    EXPECT_EQ(ring.capacity(), cap);  // depth 8 never grows a 16-slot ring
+  }
+  while (!ring.empty()) EXPECT_EQ(ring.take(0).tag, expect++);
+}
+
+TEST(MessageRing, InsertAtEitherEndAndMiddle) {
+  MessageRing ring;
+  for (int t : {0, 1, 2, 3}) ring.push_back(tagged(t));
+  ring.insert(0, tagged(90));           // front (short-front path)
+  ring.insert(3, tagged(91));           // middle
+  ring.insert(ring.size(), tagged(92)); // back
+  EXPECT_EQ(tags_of(ring), (std::vector<int>{90, 0, 1, 91, 2, 3, 92}));
+}
+
+TEST(MessageRing, TakeFromMiddleShiftsTheShorterSide) {
+  MessageRing ring;
+  for (int t = 0; t < 7; ++t) ring.push_back(tagged(t));
+  EXPECT_EQ(ring.take(1).tag, 1);  // front half
+  EXPECT_EQ(ring.take(4).tag, 5);  // back half
+  EXPECT_EQ(tags_of(ring), (std::vector<int>{0, 2, 3, 4, 6}));
+}
+
+TEST(MessageRing, ClearRetainsCapacity) {
+  MessageRing ring;
+  for (int t = 0; t < 20; ++t) ring.push_back(tagged(t));
+  const std::size_t cap = ring.capacity();
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), cap);
+  ring.push_back(tagged(7));
+  EXPECT_EQ(ring[0].tag, 7);
+}
+
+// --- payload arena -----------------------------------------------------------
+
+/// Acquire `count` blocks of `bytes` at once, then release them all: far more
+/// than the class's cache bound, so most must be freed rather than parked.
+void flood_class(std::size_t bytes, int count) {
+  BufferArena& arena = BufferArena::instance();
+  std::vector<ArenaBlock> blocks;
+  for (int i = 0; i < count; ++i) {
+    bool recycled = false;
+    blocks.push_back(arena.acquire(bytes, &recycled));
+  }
+  for (const ArenaBlock& b : blocks) arena.release(b);
+}
+
+TEST(Arena, SharedCacheStaysWithinFixedCapPerClass) {
+  BufferArena& arena = BufferArena::instance();
+  // Two classes no other case here touches, so the growth of cached_bytes()
+  // is this class's shared list alone. The shared bound per class is
+  // max(4 blocks, 8 MiB): the 4 MiB class sits on the 4-block floor, the
+  // 64 KiB class on the 8 MiB byte cap.
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  for (const std::size_t bytes : {4 * kMiB, std::size_t{64} << 10}) {
+    const std::size_t bound = std::max(4 * bytes, 8 * kMiB);
+    const std::size_t before = arena.cached_bytes();
+    flood_class(bytes, static_cast<int>(4 * bound / bytes));
+    const std::size_t parked = arena.cached_bytes() - before;
+    EXPECT_GT(parked, 0u) << bytes << " B class";
+    EXPECT_LE(parked, bound) << bytes << " B class";
+
+    bool recycled = false;
+    const ArenaBlock again = arena.acquire(bytes, &recycled);
+    EXPECT_TRUE(recycled) << bytes << " B class";
+    arena.release(again);
+  }
 }
 
 }  // namespace
