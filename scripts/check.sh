@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full check: regular build + tests, then the simrt runtime test binaries
 # under ThreadSanitizer (the threads-as-ranks runtime is the one place real
-# data races can hide), then the SIMD suites under AddressSanitizer (the
-# vector strip-mining tails are the one place out-of-bounds loads can hide).
+# data races can hide), then the SIMD, QCD and partitioning suites under
+# AddressSanitizer (vector strip-mining tails and halo ghost writes at
+# computed offsets are where out-of-bounds accesses can hide).
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -29,11 +30,12 @@ for t in test_simrt test_simrt_stress test_simrt_nonblocking test_simrt_executor
   TSAN_OPTIONS="halt_on_error=1" "./build-tsan/tests/$t"
 done
 
-echo "== AddressSanitizer build (SIMD suites: strip-mining tail bounds) =="
+echo "== AddressSanitizer build (SIMD tails, QCD and halo ghost offsets) =="
 cmake -B build-asan -S . -DVPAR_SANITIZE=address >/dev/null
-cmake --build build-asan -j"$JOBS" --target test_simd test_simd_equivalence
+cmake --build build-asan -j"$JOBS" \
+  --target test_simd test_simd_equivalence test_qcd test_part
 
-for t in test_simd test_simd_equivalence; do
+for t in test_simd test_simd_equivalence test_qcd test_part; do
   echo "-- ASan: $t"
   ASAN_OPTIONS="halt_on_error=1" "./build-asan/tests/$t"
 done

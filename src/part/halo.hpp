@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "part/partition.hpp"
@@ -104,7 +106,8 @@ struct HaloSchedule {
 /// its ghost shells; faces are skipped at non-periodic domain boundaries
 /// (neighbor() == -1). A send in the + direction pairs with the peer's
 /// - ghost receive under the same tag, so schedules of neighboring ranks
-/// always pair up message-for-message.
+/// always pair up message-for-message. Throws std::invalid_argument when a
+/// ghost width exceeds the rank's local extent on an axis with a neighbour.
 template <std::size_t N>
 [[nodiscard]] HaloSchedule<N> plan_halo(const BlockPartition<N>& partition,
                                         int rank, const HaloSpec<N>& spec) {
@@ -133,6 +136,14 @@ template <std::size_t N>
     const int plus = partition.neighbor(rank, axis, +1);
     const int minus = partition.neighbor(rank, axis, -1);
     const auto na = static_cast<std::ptrdiff_t>(n[axis]);
+    // A face wider than the block would pack the neighbour's own ghosts,
+    // leaving the outer ghost layer one exchange stale.
+    if ((plus >= 0 || minus >= 0) && g > na) {
+      throw std::invalid_argument(
+          "plan_halo: ghost width " + std::to_string(g) + " exceeds rank " +
+          std::to_string(rank) + "'s local extent " + std::to_string(na) +
+          " on axis " + std::to_string(axis));
+    }
     const int tag_plus = spec.base_tag + 2 * static_cast<int>(axis);
     const int tag_minus = tag_plus + 1;
 

@@ -12,12 +12,15 @@ namespace vpar::simrt {
 /// owning rank. With no idle helpers — or with hybrid threading disabled —
 /// the call degrades to serial chunk-by-chunk execution on the caller.
 ///
-/// Chunk-boundary guarantee: the body is always invoked on the deterministic
-/// chunks [begin + k*grain, min(begin + (k+1)*grain, end)), serial or hybrid;
-/// only the *assignment* of chunks to threads varies between runs. A kernel
-/// whose chunks write disjoint data (rows, planes, particle sub-ranges, or
-/// per-chunk private accumulators reduced in fixed chunk order) therefore
-/// produces bitwise-identical results with and without helpers.
+/// Chunk-boundary guarantee: with an explicit grain the body is always
+/// invoked on the deterministic chunks [begin + k*grain, min(begin +
+/// (k+1)*grain, end)), serial or hybrid; only the *assignment* of chunks to
+/// threads varies between runs. A kernel whose chunks write disjoint data
+/// (rows, planes, particle sub-ranges, or per-chunk private accumulators
+/// reduced in fixed chunk order) therefore produces bitwise-identical results
+/// with and without helpers. With grain == 0 the boundaries are unspecified
+/// (they vary with the idle-helper count and the Auto probe below), so such
+/// bodies must not depend on where a chunk starts or ends.
 ///
 /// Error and abort semantics: the first exception thrown by any chunk wins,
 /// short-circuits the remaining chunks, and is rethrown on the owning rank
@@ -31,7 +34,13 @@ namespace vpar::simrt {
 ///  - Auto (default): engage only when the host has more cores than the job
 ///    has ranks (std::thread::hardware_concurrency() > job size) AND idle
 ///    pool workers exist. On a host without spare cores, helpers would only
-///    add contention, so Auto stays serial there.
+///    add contention, so Auto stays serial there. Where it would engage, the
+///    owner first runs a timed probe itself: one iteration of a grain == 0
+///    loop, else the first chunk. If the probe's time scaled to the whole
+///    range is under the hand-off budget (40 us, about the serial work at
+///    which helpers start to win on wall time on a 4-core host), the owner
+///    finishes the loop serially (explicit-grain chunks in order) and no
+///    helper is woken; otherwise the rest of the loop is served to helpers.
 ///  - On: engage whenever idle pool workers exist (correctness tests, TSan
 ///    stress, and benches force this to exercise the concurrent path).
 ///  - Off: always serial.

@@ -67,19 +67,40 @@ HybridMode env_hybrid_mode() {
 std::atomic<HybridMode> g_hybrid_mode{env_hybrid_mode()};
 
 /// Should a parallel_for issued by a rank of a `job_size`-rank job try to
-/// engage idle helpers? (The idle-helper count is checked separately.)
-bool hybrid_policy_engages(int job_size) {
-  switch (g_hybrid_mode.load(std::memory_order_relaxed)) {
+/// engage idle helpers under `mode`? (The idle-helper count is checked
+/// separately.)
+bool hybrid_policy_engages(HybridMode mode, int job_size) {
+  switch (mode) {
     case HybridMode::On: return true;
     case HybridMode::Off: return false;
-    case HybridMode::Auto:
+    case HybridMode::Auto: {
       // Helpers only pay off when the host has spare cores beyond the
-      // active ranks; otherwise they just contend with the team.
-      return std::thread::hardware_concurrency() >
-             static_cast<unsigned>(job_size);
+      // active ranks; otherwise they just contend with the team. Read once:
+      // glibc answers hardware_concurrency() from sysfs, ~4 us a call on a
+      // 4-core Xeon, which would cost more than a small loop's whole body.
+      static const unsigned cores = std::thread::hardware_concurrency();
+      return cores > static_cast<unsigned>(job_size);
+    }
   }
   return false;
 }
+
+/// Least whole-loop work, estimated from the owner's timed probe, for which
+/// HybridMode::Auto publishes a parallel_for to helpers. Measured at P=1
+/// under a 4-worker pool on a 4-core Xeon (2.0 GHz), 16 chunks per loop:
+/// once a helper joins, the hand-off adds 30-50 us wall and 45-75 us CPU
+/// (6 us of work takes 30 us wall, 52 us CPU), and helpers only win on wall
+/// time above about 40-50 us of serial work. Below the budget they cost more
+/// than they can take off the owner. See docs/performance.md.
+constexpr double kHandoffBudgetNs = 40'000.0;
+
+/// Marks this thread as inside a parallel_for chunk for one scope, so nested
+/// calls run serial; restores the flag on exit, exceptions included.
+struct ChunkScope {
+  bool outer = !t_in_loop_chunk;
+  ChunkScope() { t_in_loop_chunk = true; }
+  ~ChunkScope() { if (outer) t_in_loop_chunk = false; }
+};
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -682,12 +703,14 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
   // enclosing chunk, when the policy says yes and idle workers exist.
   int idle = 0;
   RuntimeState* state = t_loop_state;
+  const HybridMode mode = g_hybrid_mode.load(std::memory_order_relaxed);
   if (state != nullptr && !t_in_loop_chunk &&
-      hybrid_policy_engages(state->size)) {
+      hybrid_policy_engages(mode, state->size)) {
     idle = Executor::shared().idle_helpers(state->size);
   }
 
-  if (grain == 0) {
+  const bool auto_grain = grain == 0;
+  if (auto_grain) {
     // Auto grain: ~4 chunks per participant, so late joiners still find
     // work without shrinking chunks into scheduling noise. With no helpers
     // there is exactly one participant and nothing to balance — one full
@@ -698,21 +721,45 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
     grain = idle == 0 ? range : std::max<std::size_t>(1, (range + ways - 1) / ways);
   }
 
+  // Serial execution on the owner from `lo` in steps of `step`: no task
+  // registration, no wake-up, no latch.
+  const auto serial = [&](std::size_t lo, std::size_t step) {
+    ChunkScope scope;
+    for (; lo < end; lo += step) body(lo, std::min(lo + step, end));
+  };
+
   if (idle == 0 || grain >= range) {
-    // Serial degrade: identical chunk boundaries, no task registration.
-    struct ChunkScope {  // exception-safe restore of the nesting flag
-      bool outer = !t_in_loop_chunk;
-      ChunkScope() { t_in_loop_chunk = true; }
-      ~ChunkScope() { if (outer) t_in_loop_chunk = false; }
-    } scope;
-    for (std::size_t lo = begin; lo < end; lo += grain) {
-      body(lo, std::min(lo + grain, end));
-    }
+    serial(begin, grain);  // identical chunk boundaries
     return;
   }
 
+  std::size_t next = begin;
+  if (mode == HybridMode::Auto) {
+    // Timed probe on the owner: one iteration of an auto-grain loop (whose
+    // boundaries already vary with the idle count), else the first chunk,
+    // so explicit chunk boundaries stay [begin + k*grain, ...). A loop whose
+    // probe, scaled to the whole range, fits the hand-off budget finishes
+    // serially: the auto-grain remainder as one call, explicit chunks in order.
+    const std::size_t probe = auto_grain ? 1 : grain;
+    next = begin + probe;
+    const std::uint64_t start = now_ns();
+    {
+      ChunkScope scope;
+      body(begin, next);
+    }
+    const std::uint64_t spent = now_ns() - start;
+    if (static_cast<double>(spent) * static_cast<double>(range) <
+        kHandoffBudgetNs * static_cast<double>(probe)) {
+      serial(next, auto_grain ? range : grain);
+      return;
+    }
+    trace::emit_span("loop.chunk", start, spent,
+                     static_cast<std::int64_t>(begin),
+                     static_cast<std::int64_t>(next));
+  }
+
   LoopTask task;
-  task.next = begin;
+  task.next = next;
   task.end = end;
   task.grain = grain;
   task.owner = t_loop_rank;
@@ -723,7 +770,8 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
 int parallel_width() {
   RuntimeState* state = t_loop_state;
   if (state == nullptr || t_in_loop_chunk ||
-      !hybrid_policy_engages(state->size)) {
+      !hybrid_policy_engages(g_hybrid_mode.load(std::memory_order_relaxed),
+                             state->size)) {
     return 1;
   }
   return 1 + Executor::shared().idle_helpers(state->size);

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -268,14 +271,54 @@ void expect_send_recv_pairing(const BlockPartition<N>& p,
   }
 }
 
+template <std::size_t N>
+std::size_t narrowest_block(const BlockPartition<N>& p) {
+  std::size_t narrowest = SIZE_MAX;
+  for (int r = 0; r < p.size(); ++r) {
+    const Extent<N> n = p.local_extent(r);
+    for (std::size_t a = 0; a < N; ++a) narrowest = std::min(narrowest, n[a]);
+  }
+  return narrowest;
+}
+
 TEST(HaloSchedule, SendRecvPairingAcrossWorlds) {
   for (int ranks = 1; ranks <= 16; ++ranks) {
     for (bool periodic : {false, true}) {
       const auto p = BlockPartition<2>::make(Extent<2>{{24, 18}}, ranks,
                                              {periodic, periodic});
-      expect_send_recv_pairing(p, HaloSpec<2>{Extent<2>{{2, 2}}, 100});
+      expect_send_recv_pairing(p, HaloSpec<2>{Extent<2>{{1, 1}}, 100});
+      // Width 2 needs 2-wide blocks: 13 ranks leave 1-wide ones on a split
+      // axis, and plan_halo rejects those (see GhostWiderThanBlockRejected).
+      if (narrowest_block(p) >= 2) {
+        expect_send_recv_pairing(p, HaloSpec<2>{Extent<2>{{2, 2}}, 100});
+      } else {
+        EXPECT_EQ(ranks, 13) << "periodic=" << periodic;
+      }
     }
   }
+}
+
+TEST(HaloSchedule, GhostWiderThanBlockRejected) {
+  // A 1x3 periodic tile with width 2 on axis 0 is its own neighbour there:
+  // the face would include the ghosts being filled, so the outer layer would
+  // stay one exchange stale. Planning must refuse it.
+  const BlockPartition<2> self(Extent<2>{{1, 3}}, {1, 1}, {true, true});
+  EXPECT_THROW((void)plan_halo(self, 0, HaloSpec<2>{Extent<2>{{2, 1}}, 0}),
+               std::invalid_argument);
+  // Same between distinct ranks: 1-wide blocks on a split axis.
+  const BlockPartition<1> split(Extent<1>{{3}}, {3}, {false});
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_THROW((void)plan_halo(split, r, HaloSpec<1>{Extent<1>{{2}}, 0}),
+                 std::invalid_argument)
+        << "rank " << r;
+  }
+  // A width equal to the block is fine, and so is any width on an axis with
+  // no neighbour (nothing is exchanged there).
+  EXPECT_EQ(plan_halo(self, 0, HaloSpec<2>{Extent<2>{{1, 3}}, 0}).phases.size(), 2u);
+  const BlockPartition<2> open(Extent<2>{{1, 3}}, {1, 1}, {false, true});
+  const auto sched = plan_halo(open, 0, HaloSpec<2>{Extent<2>{{2, 1}}, 0});
+  ASSERT_EQ(sched.phases.size(), 1u);
+  EXPECT_EQ(sched.phases[0].axis, 1u);
 }
 
 TEST(HaloSchedule, SendRecvPairing4D) {

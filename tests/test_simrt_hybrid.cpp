@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <latch>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "blas/blas.hpp"
@@ -17,8 +20,10 @@
 #include "fft/fft_multi.hpp"
 #include "gtc/simulation.hpp"
 #include "lbmhd/simulation.hpp"
+#include "paratec/scf.hpp"
 #include "simrt/parallel.hpp"
 #include "simrt/runtime.hpp"
+#include "trace/trace.hpp"
 
 namespace vpar::simrt {
 namespace {
@@ -131,6 +136,142 @@ TEST(ParallelFor, NestedCallsDegradeToSerialInsideAChunk) {
     });
   });
   for (auto& c : counts) EXPECT_EQ(c.load(), 1);
+}
+
+// --- Auto: the hand-off budget -----------------------------------------------
+//
+// Under Auto the owner times a probe (the first chunk, or one iteration of an
+// auto-grain loop) and keeps loops too small to pay the helper hand-off.
+// On a host without spare cores Auto never engages, so these hold trivially.
+
+/// The decline is a wall-clock decision: a probe preempted on a loaded or
+/// sanitizer-slowed host legitimately engages helpers. So a cheap loop must
+/// be declined in at least one of a few P=1 jobs; returns the first declined
+/// job's result (else the last). Each job first lets the pool settle: a job
+/// start wakes every worker, and the idle ones take a moment to park again.
+RunResult run_until_declined(const std::function<void(Communicator&)>& job) {
+  RunResult result;
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    trace::clear_all();
+    result = run(1, [&](Communicator& comm) {
+      std::this_thread::sleep_for(10ms);
+      job(comm);
+    });
+    if (result.merged.helper_chunks() == 0.0) break;
+  }
+  return result;
+}
+
+std::size_t loop_help_spans() {
+  std::size_t n = 0;
+  for (const auto& thread : trace::drain_all()) {
+    for (const auto& e : thread.events) {
+      if (e.name != nullptr && std::string(e.name) == "loop.help") ++n;
+    }
+  }
+  return n;
+}
+
+TEST(ParallelForAuto, CheapLoopPublishesNoTask) {
+  ModeGuard guard(HybridMode::Auto);
+  warm_pool();
+  std::vector<std::atomic<int>> counts(16);
+  const auto job = [&](Communicator&) {
+    for (auto& c : counts) c = 0;
+    for (const std::size_t grain : {std::size_t{1}, std::size_t{0}}) {
+      parallel_for(0, 8, grain, [&](std::size_t lo, std::size_t hi) {
+        // Only the probe (the call at 0) is timed; the calls after it are
+        // slow enough that any published task would be seen by a helper.
+        if (lo > 0) std::this_thread::sleep_for(1ms);
+        for (std::size_t i = lo; i < hi; ++i) ++counts[(grain == 0 ? 8 : 0) + i];
+      });
+    }
+  };
+  const trace::Mode saved = trace::mode();
+  trace::set_mode(trace::Mode::Full);
+  const RunResult result = run_until_declined(job);
+  const std::size_t spans = loop_help_spans();
+  trace::set_mode(saved);
+  trace::clear_all();
+  EXPECT_EQ(result.merged.helper_chunks(), 0.0);
+  EXPECT_EQ(spans, 0u);
+  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
+}
+
+TEST(ParallelForAuto, HeavyChunksStillEngageHelpers) {
+  if (std::thread::hardware_concurrency() <= 1) {
+    GTEST_SKIP() << "Auto never engages helpers on a single-core host";
+  }
+  ModeGuard guard(HybridMode::Auto);
+  warm_pool();
+  std::atomic<bool> helped{false};
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  const RunResult result = run(1, [&](Communicator&) {
+    const std::thread::id owner = std::this_thread::get_id();
+    parallel_for(0, 16, 1, [&](std::size_t lo, std::size_t) {
+      std::this_thread::sleep_for(1ms);
+      if (std::this_thread::get_id() != owner) {
+        helped.store(true);
+      } else if (lo > 0) {
+        // Chunk 0 is the probe and runs before any helper can exist; later
+        // owner chunks hold on until a helper shows up, so a quick owner
+        // cannot drain the loop alone and mask a missing engagement.
+        while (!helped.load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(100us);
+        }
+      }
+    });
+  });
+  EXPECT_TRUE(helped.load());
+  EXPECT_GE(result.merged.helper_chunks(), 1.0);
+}
+
+TEST(ParallelForAuto, DeclinedLoopKeepsExplicitChunkBoundaries) {
+  ModeGuard guard(HybridMode::Auto);
+  warm_pool();
+  // One preallocated slot per call, in call order: the probe must stay far
+  // below the budget (no allocation), and the writes stay race-free should a
+  // slow host engage helpers after all.
+  std::vector<std::pair<std::size_t, std::size_t>> chunks(8);
+  std::atomic<std::size_t> calls{0};
+  const auto job = [&](Communicator&) {
+    calls = 0;
+    parallel_for(3, 40, 7, [&](std::size_t lo, std::size_t hi) {
+      const std::size_t k = calls.fetch_add(1);
+      if (k < chunks.size()) chunks[k] = {lo, hi};
+    });
+  };
+  const RunResult result = run_until_declined(job);
+  EXPECT_EQ(result.merged.helper_chunks(), 0.0);
+  std::vector<std::pair<std::size_t, std::size_t>> expected;
+  for (std::size_t lo = 3; lo < 40; lo += 7) {
+    expected.emplace_back(lo, std::min<std::size_t>(lo + 7, 40));
+  }
+  ASSERT_EQ(calls.load(), expected.size());
+  chunks.resize(expected.size());
+  EXPECT_EQ(chunks, expected);
+}
+
+TEST(ParallelForAuto, ProbeExceptionReachesTheOwningRank) {
+  ModeGuard guard(HybridMode::Auto);
+  warm_pool();
+  int calls = 0;
+  try {
+    run(1, [&](Communicator&) {
+      parallel_for(0, 64, 4, [&](std::size_t lo, std::size_t) {
+        ++calls;
+        if (lo == 0) throw std::runtime_error("probe boom");
+      });
+    });
+    FAIL() << "probe exception was swallowed";
+  } catch (const RankError& e) {
+    EXPECT_TRUE(contains(e.what(), "rank 0")) << e.what();
+    EXPECT_TRUE(contains(e.what(), "probe boom")) << e.what();
+  }
+  // The probe is the first chunk: nothing else ran after it threw.
+  EXPECT_EQ(calls, 1);
+  const RunResult after = run(2, [](Communicator&) {});
+  EXPECT_EQ(after.size(), 2);
 }
 
 // --- errors and aborts -------------------------------------------------------
@@ -327,12 +468,50 @@ std::vector<fft::Complex> fft_batch(HybridMode mode) {
 
 TEST(HybridIdentical, MultiFftBatchBitwise) {
   const auto serial = fft_batch(HybridMode::Off);
-  const auto hybrid = fft_batch(HybridMode::On);
-  ASSERT_EQ(serial.size(), hybrid.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].real(), hybrid[i].real()) << i;
-    EXPECT_EQ(serial[i].imag(), hybrid[i].imag()) << i;
+  // On forces the concurrent path; Auto probes one sequence and may keep the
+  // batch on the owner. Either way every sequence must carry the same bits.
+  for (const HybridMode mode : {HybridMode::On, HybridMode::Auto}) {
+    const auto hybrid = fft_batch(mode);
+    ASSERT_EQ(serial.size(), hybrid.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(serial[i].real(), hybrid[i].real()) << i;
+      EXPECT_EQ(serial[i].imag(), hybrid[i].imag()) << i;
+    }
   }
+}
+
+struct ScfState {
+  std::vector<double> density;
+  std::vector<double> eigenvalues;
+};
+
+ScfState paratec_scf(HybridMode mode) {
+  ModeGuard guard(mode);
+  warm_pool();
+  ScfState out;
+  // P=1 under the 8-worker pool: seven idle helpers for the FFT batches and
+  // the gemm row blocks inside each SCF cycle.
+  run(1, [&](Communicator& comm) {
+    const paratec::Basis basis(4.0);
+    const paratec::Layout layout(basis, comm.size());
+    paratec::Hamiltonian h(comm, basis, layout, paratec::silicon_supercell(1),
+                           1.0, 0.22);
+    paratec::Scf::Options options;
+    options.nbands = 4;
+    paratec::Scf scf(h, options);
+    for (int cycle = 0; cycle < 3; ++cycle) scf.iterate();
+    out.density = scf.density();
+    out.eigenvalues = scf.eigenvalues();
+  });
+  return out;
+}
+
+TEST(HybridIdentical, ParatecScfIterateAutoMatchesOff) {
+  const ScfState serial = paratec_scf(HybridMode::Off);
+  const ScfState automatic = paratec_scf(HybridMode::Auto);
+  ASSERT_FALSE(serial.density.empty());
+  EXPECT_EQ(serial.density, automatic.density);
+  EXPECT_EQ(serial.eigenvalues, automatic.eigenvalues);
 }
 
 std::vector<double> gemm_result(HybridMode mode) {
