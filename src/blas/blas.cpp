@@ -2,11 +2,12 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
-#include "blas/blas_simd.hpp"
 #include "perf/recorder.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/simd.hpp"
 #include "simrt/parallel.hpp"
 #include "trace/trace.hpp"
 
@@ -55,24 +56,70 @@ T fetch(Trans t, const T* a, std::size_t lda, std::size_t i, std::size_t j) {
   return T{};
 }
 
+constexpr std::size_t kBlock = 64;  // gemm tile edge (packed-buffer stride)
+
+/// Update of one packed tile (double or interleaved re,im Complex): for i in
+/// [0, mi), p in [0, kp), aip = alpha * a_block[i * kBlock + p], then
+/// c[i * ldc + j] += aip * b_block[p * kBlock + j] for j in [0, jw) — the
+/// reference (i, p, j) order with the j loop in W-wide strips and a W=1
+/// tail, so every C element accumulates its products in the identical
+/// sequence at every W. A complex coefficient is broadcast as a pair, and
+/// complex_mul reproduces the scalar product's rounding lane for lane.
+template <std::size_t W, typename T>
+VPAR_SIMD_INLINE void tile_w(T* c, std::size_t ldc, const T* a_block,
+                             const T* b_block, T alpha, std::size_t mi,
+                             std::size_t kp, std::size_t jw) {
+  constexpr std::size_t kLanes = sizeof(T) / sizeof(double);  // doubles per T
+  constexpr std::size_t kPer = W > 1 ? W / kLanes : 1;         // T per vector
+  const std::size_t jv = W > 1 ? jw / kPer * kPer : 0;
+  for (std::size_t i = 0; i < mi; ++i) {
+    T* __restrict crow = c + i * ldc;
+    for (std::size_t p = 0; p < kp; ++p) {
+      const T aip = alpha * a_block[i * kBlock + p];
+      const T* __restrict brow = b_block + p * kBlock;
+      if constexpr (W > 1) {
+        double* crd = reinterpret_cast<double*>(crow);
+        const double* brd = reinterpret_cast<const double*>(brow);
+        for (std::size_t j = 0; j < jv; j += kPer) {
+          const simd::vec<W> vb = simd::load<W>(brd + kLanes * j);
+          simd::vec<W> prod;
+          if constexpr (std::is_same_v<T, double>) {
+            prod = simd::splat<W>(aip) * vb;
+          } else {
+            prod = simd::complex_mul<W>(vb, simd::splat_pair<W>(aip.real(), aip.imag()));
+          }
+          simd::store<W>(crd + kLanes * j, simd::load<W>(crd + kLanes * j) + prod);
+        }
+      }
+      for (std::size_t j = jv; j < jw; ++j) crow[j] += aip * brow[j];
+    }
+  }
+}
+
+/// The simd spans of one gemm call: each (i, p) pair of every j tile is one
+/// span of that tile's width.
+template <typename T>
+void record_tiles(std::size_t w, std::size_t m, std::size_t n, std::size_t k) {
+  constexpr std::size_t kLanes = sizeof(T) / sizeof(double);
+  if (w <= 1) return;
+  const std::size_t per = w / kLanes;
+  const std::size_t tail = n % kBlock;
+  simd::record_spans(w, m * k * (n / kBlock), kBlock / per, kLanes * (kBlock % per));
+  if (tail != 0) simd::record_spans(w, m * k, tail / per, kLanes * (tail % per));
+}
+
 /// Blocked kernel shared by the real and complex instantiations.
 template <typename T>
 void gemm_impl(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
                T alpha, const T* a, std::size_t lda, const T* b, std::size_t ldb,
                T beta, T* c, std::size_t ldc) {
-  constexpr std::size_t kBlock = 64;
-
   // Distinct i0 row blocks write disjoint rows of C, so the outer block loop
   // splits across idle pool workers. Each serving thread packs into its own
   // buffers, and each C element still sees beta-scale followed by its k
   // products in the reference (i, p, j) order — bitwise identical to the
   // serial blocked form.
   const std::size_t row_blocks = (m + kBlock - 1) / kBlock;
-  // Runtime dispatch for the packed-tile update (the flops): double and
-  // Complex route to the SIMD microkernel, other element types stay scalar.
-  constexpr bool kHasSimdTile =
-      std::is_same_v<T, double> || std::is_same_v<T, Complex>;
-  const bool simd_tile = kHasSimdTile && simd::use_simd();
+  const std::size_t w = simd::active_width();
   simrt::parallel_for(0, row_blocks, 1, [&](std::size_t b0, std::size_t b1) {
     // Pack buffers are per serving thread and reused across calls — the
     // steady-state gemm stream must not touch the allocator.
@@ -113,30 +160,20 @@ void gemm_impl(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
             }
           }
           // Same (i, p, j) update order as the unpacked form, so each C element
-          // accumulates its k products in an identical sequence — the SIMD
-          // microkernel vectorizes only the j loop and keeps that order.
-          if constexpr (kHasSimdTile) {
-            if (simd_tile) {
-              detail::gemm_tile_simd(c + i0 * ldc + j0, ldc, a_block.data(),
-                                     b_block.data(), kBlock, alpha, i1 - i0,
-                                     p1 - p0, jw);
-              continue;
-            }
-          }
-          for (std::size_t i = i0; i < i1; ++i) {
-            T* __restrict crow = c + i * ldc + j0;
-            for (std::size_t p = p0; p < p1; ++p) {
-              const T aip = alpha * a_block[(i - i0) * kBlock + (p - p0)];
-              const T* __restrict brow = b_block.data() + (p - p0) * kBlock;
-              for (std::size_t j = 0; j < jw; ++j) {
-                crow[j] += aip * brow[j];
-              }
-            }
-          }
+          // accumulates its k products in an identical sequence.
+          T* const tile = c + i0 * ldc + j0;
+          const T* const ab = a_block.data();
+          const T* const bb = b_block.data();
+          simd::dispatch(
+              [&]<std::size_t W>() VPAR_SIMD_BODY {
+                tile_w<W>(tile, ldc, ab, bb, alpha, i1 - i0, p1 - p0, jw);
+              },
+              w);
         }
       }
     }
   });
+  record_tiles<T>(w, m, n, k);
 }
 
 }  // namespace

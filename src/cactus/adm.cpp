@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cactus/adm_simd.hpp"
 #include "cactus/deriv.hpp"
 #include "perf/recorder.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/simd.hpp"
 #include "simrt/parallel.hpp"
 #include "trace/trace.hpp"
 
@@ -38,12 +38,17 @@ inline void second_derivatives(const GridFunctions& state, std::size_t o,
 
 /// Pencil chunk width of the RHS row kernel: long enough for full vector
 /// lanes, small enough that the chunk's derivative slices (36 pencils) stay
-/// L1/L2-resident.
+/// L1/L2-resident. A multiple of every vector width.
 constexpr std::size_t kRowChunk = 128;
 
-/// All 26 grid-function base pointers, hoisted out of the sweep once (shared
-/// type with the SIMD chunk kernel in adm_simd.cpp).
-using FieldPointers = detail::AdmFieldPointers;
+/// All 26 grid-function base pointers, hoisted out of the sweep once.
+struct FieldPointers {
+  const double* h[6];
+  const double* k[6];
+  double* rhs_h[6];
+  double* rhs_k[6];
+  double* rhs_lapse;
+};
 
 FieldPointers field_pointers(const GridFunctions& state, GridFunctions& rhs) {
   FieldPointers p{};
@@ -57,17 +62,52 @@ FieldPointers field_pointers(const GridFunctions& state, GridFunctions& rhs) {
   return p;
 }
 
-/// Chunked row kernel: linearized ADM right-hand sides for `n` (<= kRowChunk)
-/// consecutive points starting at flat offset `base`. Instead of filling a
-/// per-point derivative table (which spills registers and reloads the field
-/// pointer table at every point), each of the 36 second-derivative stencils
-/// is applied to the whole pencil into a chunk slice buffer, and the Ricci
-/// assembly then runs over flat unit-stride pencils — every loop the
-/// compiler sees is a vectorizable stream. The arithmetic per point is the
-/// reference point kernel's, in the same order.
-void rhs_chunk(const FieldPointers& f, std::ptrdiff_t s0, std::ptrdiff_t s1,
-               std::ptrdiff_t s2, std::size_t base, std::size_t n,
-               double inv_12h2, double inv_144h2) {
+using simd::load;
+using simd::splat;
+using simd::store;
+
+/// Lane i = d2(p + i, s): the cactus/deriv.hpp stencil, same association.
+template <std::size_t W>
+VPAR_SIMD_INLINE simd::vec<W> vd2(const double* p, std::ptrdiff_t s,
+                                  double inv_12h2) {
+  return (-load<W>(p + 2 * s) + splat<W>(16.0) * load<W>(p + s) -
+          splat<W>(30.0) * load<W>(p) + splat<W>(16.0) * load<W>(p - s) -
+          load<W>(p - 2 * s)) *
+         splat<W>(inv_12h2);
+}
+
+template <std::size_t W>
+VPAR_SIMD_INLINE simd::vec<W> vrow4(const double* p, std::ptrdiff_t off,
+                                    std::ptrdiff_t sb) {
+  return -load<W>(p + off + 2 * sb) + splat<W>(8.0) * load<W>(p + off + sb) -
+         splat<W>(8.0) * load<W>(p + off - sb) + load<W>(p + off - 2 * sb);
+}
+
+/// Lane i = d11(p + i, sa, sb).
+template <std::size_t W>
+VPAR_SIMD_INLINE simd::vec<W> vd11(const double* p, std::ptrdiff_t sa,
+                                   std::ptrdiff_t sb, double inv_144h2) {
+  return (-vrow4<W>(p, 2 * sa, sb) + splat<W>(8.0) * vrow4<W>(p, sa, sb) -
+          splat<W>(8.0) * vrow4<W>(p, -sa, sb) + vrow4<W>(p, -2 * sa, sb)) *
+         splat<W>(inv_144h2);
+}
+
+/// Chunk kernel: linearized ADM right-hand sides for points [i0, i1) of the
+/// pencil chunk at flat offset `base` ((i1 - i0) % W == 0, i1 <= kRowChunk).
+/// Instead of filling a per-point derivative table (which spills registers
+/// and reloads the field pointer table at every point), each of the 36
+/// second-derivative stencils is applied to the whole pencil into a chunk
+/// slice buffer, and the Ricci assembly then runs over flat unit-stride
+/// pencils. Every stage indexes the slices by the absolute point index, so
+/// the W-wide strip and the W=1 tail can split one chunk. The arithmetic per
+/// point is the reference point kernel's, in the same order, at every W.
+template <std::size_t W>
+VPAR_SIMD_INLINE void rhs_chunk_w(const FieldPointers& f, std::ptrdiff_t s0,
+                                  std::ptrdiff_t s1, std::ptrdiff_t s2,
+                                  std::size_t base, std::size_t i0,
+                                  std::size_t i1, double inv_12h2,
+                                  double inv_144h2) {
+  using V = simd::vec<W>;
   double dd[6][6][kRowChunk];  // [derivative pair][component][point]
   double ddtr[6][kRowChunk];   // d_i d_j (tr h) per pair
 
@@ -77,16 +117,22 @@ void rhs_chunk(const FieldPointers& f, std::ptrdiff_t s0, std::ptrdiff_t s1,
     double* __restrict q00 = dd[sym(0, 0)][m];
     double* __restrict q11 = dd[sym(1, 1)][m];
     double* __restrict q22 = dd[sym(2, 2)][m];
-    for (std::size_t i = 0; i < n; ++i) q00[i] = d2(p + i, s0, inv_12h2);
-    for (std::size_t i = 0; i < n; ++i) q11[i] = d2(p + i, s1, inv_12h2);
-    for (std::size_t i = 0; i < n; ++i) q22[i] = d2(p + i, s2, inv_12h2);
+    for (std::size_t i = i0; i < i1; i += W)
+      store<W>(q00 + i, vd2<W>(p + i, s0, inv_12h2));
+    for (std::size_t i = i0; i < i1; i += W)
+      store<W>(q11 + i, vd2<W>(p + i, s1, inv_12h2));
+    for (std::size_t i = i0; i < i1; i += W)
+      store<W>(q22 + i, vd2<W>(p + i, s2, inv_12h2));
     // Mixed derivatives: (0,1), (0,2), (1,2) = sym indices 1, 2, 4.
     double* __restrict q01 = dd[sym(0, 1)][m];
     double* __restrict q02 = dd[sym(0, 2)][m];
     double* __restrict q12 = dd[sym(1, 2)][m];
-    for (std::size_t i = 0; i < n; ++i) q01[i] = d11(p + i, s0, s1, inv_144h2);
-    for (std::size_t i = 0; i < n; ++i) q02[i] = d11(p + i, s0, s2, inv_144h2);
-    for (std::size_t i = 0; i < n; ++i) q12[i] = d11(p + i, s1, s2, inv_144h2);
+    for (std::size_t i = i0; i < i1; i += W)
+      store<W>(q01 + i, vd11<W>(p + i, s0, s1, inv_144h2));
+    for (std::size_t i = i0; i < i1; i += W)
+      store<W>(q02 + i, vd11<W>(p + i, s0, s2, inv_144h2));
+    for (std::size_t i = i0; i < i1; i += W)
+      store<W>(q12 + i, vd11<W>(p + i, s1, s2, inv_144h2));
   }
 
   for (int pr = 0; pr < 6; ++pr) {
@@ -94,7 +140,8 @@ void rhs_chunk(const FieldPointers& f, std::ptrdiff_t s0, std::ptrdiff_t s1,
     const double* __restrict b = dd[pr][sym(1, 1)];
     const double* __restrict c = dd[pr][sym(2, 2)];
     double* __restrict q = ddtr[pr];
-    for (std::size_t i = 0; i < n; ++i) q[i] = a[i] + b[i] + c[i];
+    for (std::size_t i = i0; i < i1; i += W)
+      store<W>(q + i, load<W>(a + i) + load<W>(b + i) + load<W>(c + i));
   }
 
   {
@@ -102,12 +149,11 @@ void rhs_chunk(const FieldPointers& f, std::ptrdiff_t s0, std::ptrdiff_t s1,
     const double* __restrict k1 = f.k[sym(1, 1)] + base;
     const double* __restrict k2 = f.k[sym(2, 2)] + base;
     double* __restrict out = f.rhs_lapse + base;
-    for (std::size_t i = 0; i < n; ++i) {
-      double trk = 0.0;
-      trk += k0[i];
-      trk += k1[i];
-      trk += k2[i];
-      out[i] = -2.0 * trk;
+    for (std::size_t i = i0; i < i1; i += W) {
+      V trk = splat<W>(0.0) + load<W>(k0 + i);
+      trk = trk + load<W>(k1 + i);
+      trk = trk + load<W>(k2 + i);
+      store<W>(out + i, splat<W>(-2.0) * trk);
     }
   }
 
@@ -128,38 +174,48 @@ void rhs_chunk(const FieldPointers& f, std::ptrdiff_t s0, std::ptrdiff_t s1,
       const double* __restrict km = f.k[m] + base;
       double* __restrict out_h = f.rhs_h[m] + base;
       double* __restrict out_k = f.rhs_k[m] + base;
-      for (std::size_t i = 0; i < n; ++i) {
-        double term1 = 0.0, term2 = 0.0;
-        term1 += t1x[i];
-        term1 += t1y[i];
-        term1 += t1z[i];
-        term2 += t2x[i];
-        term2 += t2y[i];
-        term2 += t2z[i];
-        const double lap = l0[i] + l1[i] + l2[i];
-        const double ricci = 0.5 * (term1 + term2 - lap - dt[i]);
-        out_h[i] = -2.0 * km[i];
-        out_k[i] = ricci;
+      for (std::size_t i = i0; i < i1; i += W) {
+        V term1 = splat<W>(0.0) + load<W>(t1x + i);
+        term1 = term1 + load<W>(t1y + i);
+        term1 = term1 + load<W>(t1z + i);
+        V term2 = splat<W>(0.0) + load<W>(t2x + i);
+        term2 = term2 + load<W>(t2y + i);
+        term2 = term2 + load<W>(t2z + i);
+        const V lap = load<W>(l0 + i) + load<W>(l1 + i) + load<W>(l2 + i);
+        const V ricci =
+            splat<W>(0.5) * (term1 + term2 - lap - load<W>(dt + i));
+        store<W>(out_h + i, splat<W>(-2.0) * load<W>(km + i));
+        store<W>(out_k + i, ricci);
       }
     }
   }
 }
 
-/// Apply rhs_chunk across a row span of arbitrary width.
-inline void rhs_span(const FieldPointers& f, std::ptrdiff_t s0,
-                     std::ptrdiff_t s1, std::ptrdiff_t s2, std::size_t base,
-                     std::size_t width, double inv_12h2, double inv_144h2) {
-  // Runtime dispatch: the SIMD chunk kernel mirrors rhs_chunk operation for
-  // operation (bitwise identical); scalar reference stays the fallback.
-  const bool use_simd = simd::use_simd();
-  for (std::size_t c = 0; c < width; c += kRowChunk) {
-    const std::size_t n = std::min(kRowChunk, width - c);
-    if (use_simd) {
-      detail::rhs_chunk_simd(f, s0, s1, s2, base + c, n, inv_12h2, inv_144h2);
-    } else {
-      rhs_chunk(f, s0, s1, s2, base + c, n, inv_12h2, inv_144h2);
-    }
-  }
+/// Interior box [ib, ie) x [j0, j1) x [k0, k1) at width `w`, one dispatch:
+/// each row span is cut into kRowChunk chunks, each run as a W-wide strip
+/// plus the W=1 tail.
+void rhs_box(const GridFunctions& state, const FieldPointers& f,
+             std::size_t ib, std::size_t ie, std::size_t j0, std::size_t j1,
+             std::size_t k0, std::size_t k1, double inv_12h2, double inv_144h2,
+             std::size_t w) {
+  const std::ptrdiff_t s0 = state.sx(), s1 = state.sy(), s2 = state.sz();
+  simd::dispatch(
+      [&]<std::size_t W>() VPAR_SIMD_BODY {
+        for (std::size_t k = k0; k < k1; ++k) {
+          for (std::size_t j = j0; j < j1; ++j) {
+            const std::size_t row = state.at(static_cast<std::ptrdiff_t>(k),
+                                             static_cast<std::ptrdiff_t>(j),
+                                             static_cast<std::ptrdiff_t>(ib));
+            for (std::size_t c = 0; c < ie - ib; c += kRowChunk) {
+              const std::size_t n = std::min(kRowChunk, ie - ib - c);
+              const std::size_t nv = n / W * W;
+              rhs_chunk_w<W>(f, s0, s1, s2, row + c, 0, nv, inv_12h2, inv_144h2);
+              rhs_chunk_w<1>(f, s0, s1, s2, row + c, nv, n, inv_12h2, inv_144h2);
+            }
+          }
+        }
+      },
+      w);
 }
 
 }  // namespace
@@ -187,38 +243,27 @@ void compute_rhs(const GridFunctions& state, GridFunctions& rhs, double h,
   const double inv_144h2 = 1.0 / (144.0 * h * h);
 
   const FieldPointers f = field_pointers(state, rhs);
-  const std::ptrdiff_t s0 = state.sx(), s1 = state.sy(), s2 = state.sz();
+  const std::size_t w = simd::active_width();
 
   const std::size_t iw = i1 - i0;
+  const std::size_t bw = variant == RhsVariant::Vector ? iw : std::min(block, iw);
   // The stencil only *reads* state and *writes* rhs, and distinct k planes
   // write disjoint rhs points, so the k sweep splits across idle pool
-  // workers bitwise-safely (rhs_chunk's slice buffers live on each serving
+  // workers bitwise-safely (the chunk slice buffers live on each serving
   // thread's stack).
-  if (variant == RhsVariant::Vector || block >= iw) {
+  for (std::size_t ib = i0; ib < i1; ib += bw) {
+    const std::size_t ie = std::min(ib + bw, i1);
     simrt::parallel_for(k0, k1, 1, [&](std::size_t ka, std::size_t kb) {
-      for (std::size_t k = ka; k < kb; ++k) {
-        for (std::size_t j = j0; j < j1; ++j) {
-          const std::size_t row = state.at(static_cast<std::ptrdiff_t>(k),
-                                           static_cast<std::ptrdiff_t>(j),
-                                           static_cast<std::ptrdiff_t>(i0));
-          rhs_span(f, s0, s1, s2, row, iw, inv_12h2, inv_144h2);
-        }
-      }
+      rhs_box(state, f, ib, ie, j0, j1, ka, kb, inv_12h2, inv_144h2, w);
     });
-  } else {
-    for (std::size_t ib = i0; ib < i1; ib += block) {
-      const std::size_t ie = std::min(ib + block, i1);
-      simrt::parallel_for(k0, k1, 1, [&](std::size_t ka, std::size_t kb) {
-        for (std::size_t k = ka; k < kb; ++k) {
-          for (std::size_t j = j0; j < j1; ++j) {
-            const std::size_t row = state.at(static_cast<std::ptrdiff_t>(k),
-                                             static_cast<std::ptrdiff_t>(j),
-                                             static_cast<std::ptrdiff_t>(ib));
-            rhs_span(f, s0, s1, s2, row, ie - ib, inv_12h2, inv_144h2);
-          }
-        }
-      });
-    }
+  }
+  // Every chunk splits into n / w vector iterations and an n % w tail, and
+  // kRowChunk is a multiple of w, so each row span of width s contributes
+  // s / w vector iterations and one s % w tail.
+  const std::size_t rows = (j1 - j0) * (k1 - k0);
+  if (bw != 0) {
+    simd::record_spans(w, rows * (iw / bw), bw / w, bw % w);
+    if (iw % bw != 0) simd::record_spans(w, rows, iw % bw / w, iw % bw % w);
   }
 
   perf::LoopRecord rec;

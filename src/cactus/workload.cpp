@@ -32,9 +32,10 @@ void factor3(int procs, int out[3]) {
 double baseline_flops(const Table5Config& c) {
   const double points = static_cast<double>(c.nxl * c.nyl * c.nzl) *
                         static_cast<double>(c.procs);
+  // RHS + ICN update.
   const double per_step =
       static_cast<double>(c.icn_iterations) *
-      (rhs_flops_per_point() + 2.0 * kNumFields);  // RHS + ICN update
+      (rhs_flops_per_point() + 2.0 * static_cast<double>(kNumFields));
   return points * per_step * static_cast<double>(c.steps);
 }
 
@@ -90,8 +91,8 @@ arch::AppProfile make_profile(const Table5Config& c) {
     const double points = static_cast<double>(G) *
                           (nyl * nzl + (nxl - G) * nzl + (nxl - G) * (nyl - G));
     perf::LoopRecord rec;
-    rec.flops_per_trip = boundary_flops_per_point() * kNumFields;
-    rec.bytes_per_trip = 2.0 * kNumFields * sizeof(double);
+    rec.flops_per_trip = boundary_flops_per_point() * static_cast<double>(kNumFields);
+    rec.bytes_per_trip = 2.0 * static_cast<double>(kNumFields) * sizeof(double);
     rec.access = perf::AccessPattern::Strided;
     if (c.bc_variant == BoundaryVariant::Scalar) {
       rec.vectorizable = false;

@@ -3,10 +3,11 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
 
-#include "fft/fft_simd.hpp"
 #include "perf/recorder.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/simd.hpp"
 
 namespace vpar::fft {
 
@@ -24,7 +25,114 @@ unsigned log2_exact(std::size_t n) {
   return l;
 }
 
+/// Butterflies j in [j0, j1) of one block, one complex at a time: the W=1
+/// step of every stage, and the short-`half` tail of the wide ones.
+template <bool kInvert>
+VPAR_SIMD_INLINE void butterflies(Complex* a, Complex* b, const Complex* w,
+                                  std::size_t j0, std::size_t j1) {
+  for (std::size_t j = j0; j < j1; ++j) {
+    Complex wj = w[j];
+    if constexpr (kInvert) wj = std::conj(wj);
+    const Complex u = a[j];
+    const Complex t = b[j] * wj;
+    a[j] = u + t;
+    b[j] = u - t;
+  }
+}
+
+/// One sequence at width W. The vector covers W/2 adjacent butterflies of
+/// one block; `complex_mul` and the conj mask keep each pair's rounding
+/// identical to the W=1 `b[j] * wj` (products commute, x + (-1)*y == x - y,
+/// IEEE addition is commutative). The scaling is element-wise over the
+/// interleaved doubles, so it matches the complex `v *= scale`. The
+/// direction is a template parameter so no butterfly loop tests it.
+template <std::size_t W, bool kInvert>
+VPAR_SIMD_INLINE void radix2_w(Complex* seq, std::size_t n,
+                               const TwiddleTables& tables) {
+  using simd::load;
+  using simd::store;
+  const std::size_t* bitrev = tables.bitrev.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = bitrev[i];
+    if (i < j) std::swap(seq[i], seq[j]);
+  }
+
+  const Complex* twiddle = tables.twiddle.data();
+  constexpr std::size_t kC = W > 1 ? W / 2 : 1;  // complexes per vector
+  std::size_t tw_base = 0;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const std::size_t jv = W > 1 ? half / kC * kC : 0;
+    for (std::size_t start = 0; start < n; start += len) {
+      if constexpr (W > 1) {
+        const double* twd = reinterpret_cast<const double*>(twiddle + tw_base);
+        double* da = reinterpret_cast<double*>(seq + start);
+        double* db = da + 2 * half;
+        for (std::size_t j = 0; j < jv; j += kC) {
+          simd::vec<W> vw = load<W>(twd + 2 * j);
+          if constexpr (kInvert) vw = vw * simd::conj_mask<W>();
+          const simd::vec<W> va = load<W>(da + 2 * j);
+          const simd::vec<W> t = simd::complex_mul<W>(load<W>(db + 2 * j), vw);
+          store<W>(da + 2 * j, va + t);
+          store<W>(db + 2 * j, va - t);
+        }
+      }
+      butterflies<kInvert>(seq + start, seq + start + half, twiddle + tw_base,
+                           jv, half);
+    }
+    tw_base += half;
+  }
+
+  if constexpr (kInvert) {
+    const double scale = 1.0 / static_cast<double>(n);
+    double* d = reinterpret_cast<double*>(seq);
+    const std::size_t nv = 2 * n / W * W;
+    for (std::size_t i = 0; i < nv; i += W) {
+      store<W>(d + i, load<W>(d + i) * simd::splat<W>(scale));
+    }
+    for (std::size_t i = nv; i < 2 * n; ++i) d[i] *= scale;
+  }
+}
+
 }  // namespace
+
+namespace detail {
+
+void radix2(Complex* data, std::size_t n, std::size_t count,
+            const TwiddleTables& tables, bool invert, std::size_t width) {
+  simd::dispatch(
+      [&]<std::size_t W>() VPAR_SIMD_BODY {
+        for (std::size_t t = 0; t < count; ++t) {
+          if (invert) {
+            radix2_w<W, true>(data + t * n, n, tables);
+          } else {
+            radix2_w<W, false>(data + t * n, n, tables);
+          }
+        }
+      },
+      width);
+}
+
+void record_radix2(std::size_t width, std::size_t n, std::size_t count) {
+  if (width <= 1) return;
+  const std::size_t kc = width / 2;
+  // Stages with half >= kc have no tail (both are powers of two): their
+  // full vectors go into one record; each shorter stage records its blocks'
+  // 2*half-lane partial iterations.
+  std::size_t full = 0;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const std::size_t blocks = count * (n / len);
+    if (half >= kc) {
+      full += blocks * (half / kc);
+    } else {
+      simd::record_spans(width, blocks, 0, 2 * half);
+    }
+  }
+  simd::record_spans(width, 1, full, 0);
+}
+
+}  // namespace detail
 
 /// Bluestein chirp-z machinery for arbitrary lengths: x_k * chirp convolved
 /// with the conjugate chirp via a power-of-two cyclic convolution.
@@ -67,37 +175,10 @@ Fft1d::Fft1d(Fft1d&&) noexcept = default;
 Fft1d& Fft1d::operator=(Fft1d&&) noexcept = default;
 
 void Fft1d::radix2(std::span<Complex> data, bool invert) const {
+  const std::size_t w = simd::active_width();
+  detail::radix2(data.data(), n_, 1, *tables_, invert, w);
+  detail::record_radix2(w, n_, 1);
   const std::size_t n = n_;
-  const TwiddleTables& tables = *tables_;
-  // Runtime dispatch: the SIMD path runs the same permutation, butterfly
-  // stages and scaling with the j loop vectorized, bitwise identically.
-  if (simd::use_simd()) {
-    detail::radix2_simd(data.data(), n, tables, invert);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t j = tables.bitrev[i];
-      if (i < j) std::swap(data[i], data[j]);
-    }
-    std::size_t tw_base = 0;
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      const std::size_t half = len / 2;
-      for (std::size_t start = 0; start < n; start += len) {
-        for (std::size_t j = 0; j < half; ++j) {
-          Complex w = tables.twiddle[tw_base + j];
-          if (invert) w = std::conj(w);
-          const Complex u = data[start + j];
-          const Complex t = data[start + j + half] * w;
-          data[start + j] = u + t;
-          data[start + j + half] = u - t;
-        }
-      }
-      tw_base += half;
-    }
-    if (invert) {
-      const double scale = 1.0 / static_cast<double>(n);
-      for (auto& v : data) v *= scale;
-    }
-  }
   // One radix-2 transform: log2(n) stages of n/2 butterflies, 10 flops each.
   perf::LoopRecord rec;
   rec.vectorizable = true;

@@ -51,4 +51,24 @@ class Fft1d {
   std::unique_ptr<Bluestein> bluestein_;         // non-power-of-two only
 };
 
+namespace detail {
+
+/// In-place radix-2 DIT transforms of `count` back-to-back length-`n`
+/// sequences (`n` a power of two) at SIMD width `width`, one dispatch for
+/// the batch. Each sequence runs the bit-reversal permutation, every
+/// butterfly stage with the j loop over W/2 interleaved complexes (data and
+/// twiddles are both j-contiguous), and the 1/n scaling when inverting.
+/// Stages whose `half` is shorter than a vector run the W=1 butterfly — the
+/// short-vector-length regime of single-transform FFTs the paper measures
+/// (§5.4). Every width rounds identically, so results are bitwise equal.
+void radix2(Complex* data, std::size_t n, std::size_t count,
+            const TwiddleTables& tables, bool invert, std::size_t width);
+
+/// Record the simd spans of `count` radix-2 transforms of length `n` at
+/// `width`: per stage, every block runs half/(width/2) full vectors plus
+/// half%(width/2) W=1 butterflies of 2 doubles each.
+void record_radix2(std::size_t width, std::size_t n, std::size_t count);
+
+}  // namespace detail
+
 }  // namespace vpar::fft

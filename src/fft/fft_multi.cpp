@@ -4,7 +4,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "fft/fft_simd.hpp"
 #include "perf/recorder.hpp"
 #include "simd/dispatch.hpp"
 #include "simrt/parallel.hpp"
@@ -16,62 +15,6 @@ unsigned log2_exact(std::size_t n) {
   unsigned l = 0;
   while ((std::size_t{1} << l) < n) ++l;
   return l;
-}
-
-/// Transform sequences [t0, t1) of a batch of `count` length-`n` FFTs laid
-/// out contiguously in `data`. Plain function over raw pointers so the
-/// serial path (and each hybrid sub-batch) compiles to the same tight
-/// batch-inner loops the pre-hybrid code had — routing these loops through a
-/// capturing std::function costs ~2.4x on the serial FFT bench.
-void transform_range(Complex* data, std::size_t n, const TwiddleTables& tables,
-                     bool invert, std::size_t t0, std::size_t t1) {
-  // Runtime dispatch: with host SIMD the long j loop inside each transform
-  // beats the strided (stride n complexes) batch-inner walk, so run the
-  // sequences one at a time through the vectorized radix-2 kernel. Each
-  // sequence's operation order is unchanged, so results stay bitwise
-  // identical to the batch-inner loop below.
-  if (simd::use_simd()) {
-    for (std::size_t t = t0; t < t1; ++t) {
-      detail::radix2_simd(data + t * n, n, tables, invert);
-    }
-    return;
-  }
-
-  // Bit-reversal permutation, batch-inner.
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = tables.bitrev[i];
-    if (i < j) {
-      for (std::size_t t = t0; t < t1; ++t) {
-        std::swap(data[t * n + i], data[t * n + j]);
-      }
-    }
-  }
-
-  // Butterflies with the batch as the innermost (vector) loop.
-  std::size_t tw_base = 0;
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    for (std::size_t start = 0; start < n; start += len) {
-      for (std::size_t j = 0; j < half; ++j) {
-        Complex w = tables.twiddle[tw_base + j];
-        if (invert) w = std::conj(w);
-        const std::size_t ia = start + j;
-        const std::size_t ib = start + j + half;
-        for (std::size_t t = t0; t < t1; ++t) {
-          const Complex u = data[t * n + ia];
-          const Complex v = data[t * n + ib] * w;
-          data[t * n + ia] = u + v;
-          data[t * n + ib] = u - v;
-        }
-      }
-    }
-    tw_base += half;
-  }
-
-  if (invert) {
-    const double scale = 1.0 / static_cast<double>(n);
-    for (std::size_t i = t0 * n; i < t1 * n; ++i) data[i] *= scale;
-  }
 }
 }  // namespace
 
@@ -101,18 +44,19 @@ void MultiFft1d::simultaneous(std::span<Complex> data, std::size_t count,
   const TwiddleTables& tables = *tables_;
 
   // The `count` sequences are fully independent, so the batch splits across
-  // idle pool workers into sub-batches (bitwise-identical per sequence: the
-  // per-sequence operation order in transform_range does not depend on the
-  // sub-batch). With no helpers available, call the transform directly —
-  // same function, full range — keeping the hot serial path free of any
-  // indirection.
+  // idle pool workers into sub-batches (bitwise-identical per sequence: a
+  // sequence's operation order does not depend on its sub-batch). With no
+  // helpers available, transform the batch directly, keeping the hot serial
+  // path free of the std::function indirection.
+  const std::size_t w = simd::active_width();
   if (simrt::parallel_width() == 1) {
-    transform_range(data.data(), n, tables, invert, 0, count);
+    detail::radix2(data.data(), n, count, tables, invert, w);
   } else {
     simrt::parallel_for(0, count, 0, [&](std::size_t t0, std::size_t t1) {
-      transform_range(data.data(), n, tables, invert, t0, t1);
+      detail::radix2(data.data() + t0 * n, n, t1 - t0, tables, invert, w);
     });
   }
+  detail::record_radix2(w, n, count);
 
   // The vector loop is the batch loop: trips == count, independent of n.
   perf::LoopRecord rec;

@@ -18,14 +18,18 @@ namespace vpar::fft {
 ///                     short transforms mean short vectors and poor
 ///                     efficiency — this is the "standard vendor 1D FFT"
 ///                     behaviour.
-///  - simultaneous():  restructures the loops so the innermost loop runs
-///                     across the batch: every butterfly is applied to all
-///                     `count` sequences before moving on. Vector length
-///                     becomes the batch size, independent of n.
+///  - simultaneous():  the paper's restructuring, where the innermost loop
+///                     runs across the batch, so the vector length becomes
+///                     the batch size, independent of n. That is the loop
+///                     this call records for the machine models. On the host
+///                     the whole batch runs through the width-templated
+///                     per-sequence body in one SIMD dispatch (a short
+///                     host vector fills from the j loop; the batch-inner
+///                     walk would stride n complexes).
 ///
 /// Both paths produce identical results (tests enforce bit-equality of the
-/// algorithmic ordering); only loop structure, memory behaviour and the
-/// recorded instrumentation differ. Power-of-two n only.
+/// algorithmic ordering); only the recorded instrumentation and the
+/// dispatch count differ. Power-of-two n only.
 class MultiFft1d {
  public:
   explicit MultiFft1d(std::size_t n);

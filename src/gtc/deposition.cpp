@@ -6,9 +6,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "gtc/gtc_simd.hpp"
 #include "perf/recorder.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/simd.hpp"
 #include "simrt/parallel.hpp"
 
 namespace vpar::gtc {
@@ -75,6 +75,34 @@ void deposit_one(const ParticleSet& p, std::size_t i, const TorusGrid& grid,
       plane[st.cell[c]] += w * st.wcell[c];
     }
   }
+}
+
+/// Fold body over [i0, i1), (i1 - i0) % W == 0: charge[k] += w[k], then
+/// w[k] = 0 behind the read.
+template <std::size_t W>
+VPAR_SIMD_INLINE void fold_w(double* __restrict charge, double* __restrict w,
+                             std::size_t i0, std::size_t i1) {
+  for (std::size_t i = i0; i < i1; i += W) {
+    simd::store<W>(charge + i, simd::load<W>(charge + i) + simd::load<W>(w + i));
+    simd::store<W>(w + i, simd::splat<W>(0.0));
+  }
+}
+
+/// Gather `ncopies` private grid copies of `copy` doubles each into the
+/// charge grid in ascending copy order, re-zeroing each copy behind the read
+/// (the copies are cache-hot here; a separate zeroing pass on entry would
+/// stream them a second time). Element-wise, so every width is bitwise
+/// identical; one dispatch and one simd record for the whole fold.
+void fold_copies(double* charge, double* copies, std::size_t ncopies,
+                 std::size_t copy) {
+  const std::size_t w = simd::dispatch([&]<std::size_t W>() VPAR_SIMD_BODY {
+    const std::size_t nv = copy / W * W;
+    for (std::size_t c = 0; c < ncopies; ++c) {
+      fold_w<W>(charge, copies + c * copy, 0, nv);
+      fold_w<1>(charge, copies + c * copy, nv, copy);
+    }
+  });
+  simd::record_spans(w, ncopies, copy / w, copy % w);
 }
 
 void record_deposit(const TorusGrid& grid, std::size_t n, bool vectorizable,
@@ -153,23 +181,8 @@ void deposit(const ParticleSet& particles, TorusGrid& grid, DepositVariant varia
           }
         }
       }
-      // Gather the lane copies into the real grid, clearing each element
-      // behind the read (the lanes are cache-hot here; a separate zeroing
-      // pass on entry would stream the whole array a second time).
-      double* __restrict charge = grid.charge().data();
-      const bool fold_simd = simd::use_simd();
-      for (std::size_t lane = 0; lane < vlen; ++lane) {
-        double* __restrict w = work.data() + lane * copy;
-        if (fold_simd) {
-          // Element-wise fold: the SIMD sweep is bitwise identical.
-          detail::deposit_fold_simd(charge, w, copy);
-          continue;
-        }
-        for (std::size_t k = 0; k < copy; ++k) {
-          charge[k] += w[k];
-          w[k] = 0.0;
-        }
-      }
+      // Gather the lane copies into the real grid.
+      fold_copies(grid.charge().data(), work.data(), vlen, copy);
       record_deposit(grid, n, /*vectorizable=*/true, vlen);
       {
         perf::LoopRecord rec;  // the reduction sweep (reads, adds, re-zeroes)
@@ -205,22 +218,8 @@ void deposit(const ParticleSet& particles, TorusGrid& grid, DepositVariant varia
           deposit_one(particles, i, grid, mine, plane_stride);
         }
       });
-      // Deterministic reduction, re-zeroing behind the read like WorkVector.
-      double* __restrict charge = grid.charge().data();
-      const bool fold_simd = simd::use_simd();
-      for (std::size_t c = 0; c < kHybridDepositChunks; ++c) {
-        double* __restrict w = partial_base + c * copy;
-        if (fold_simd) {
-          // Element-wise fold in the same ascending chunk order: bitwise
-          // identical to the scalar sweep.
-          detail::deposit_fold_simd(charge, w, copy);
-          continue;
-        }
-        for (std::size_t k = 0; k < copy; ++k) {
-          charge[k] += w[k];
-          w[k] = 0.0;
-        }
-      }
+      // Deterministic reduction in ascending chunk order.
+      fold_copies(grid.charge().data(), partial_base, kHybridDepositChunks, copy);
       record_deposit(grid, n, /*vectorizable=*/false, grain);
       {
         perf::LoopRecord rec;  // the chunk-copy reduction sweep

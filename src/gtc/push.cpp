@@ -5,9 +5,7 @@
 #include <stdexcept>
 
 #include "gtc/deposition.hpp"
-#include "gtc/gtc_simd.hpp"
 #include "perf/recorder.hpp"
-#include "simd/dispatch.hpp"
 #include "simrt/parallel.hpp"
 
 namespace vpar::gtc {
@@ -32,14 +30,11 @@ void gather_push(ParticleSet& particles, const TorusGrid& grid,
   // Each marker only reads the field planes and writes its own slots, so the
   // particle loop splits across idle pool workers bitwise-safely; the stencil
   // scratch is per-chunk so serving threads never share it.
+  //
+  // The loop stays scalar: lanes over particles need a per-lane transpose of
+  // the stencils and lane-by-lane field gathers, and an 8-wide version did
+  // not beat this one beyond run-to-run spread (docs/performance.md).
   simrt::parallel_for(0, n, 0, [&](std::size_t lo, std::size_t hi) {
-    // Runtime dispatch: the SIMD span kernel accumulates each particle's 32
-    // field terms in the scalar order (bitwise identical E and drift).
-    if (simd::use_simd()) {
-      detail::gather_push_span_simd(particles, grid, ex_ghost.data(),
-                                    ey_ghost.data(), dt, b0, lo, hi);
-      return;
-    }
     DepositStencil st;
     for (std::size_t i = lo; i < hi; ++i) {
       compute_stencil(grid, particles.x[i], particles.y[i], particles.zeta[i],

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "simd/simd.hpp"
 #include "trace/metrics.hpp"
 
 namespace vpar::simd {
@@ -70,14 +69,10 @@ const char* width_isa_name(std::size_t width) noexcept {
   }
 }
 
-void record_span(std::size_t width, std::size_t vector_iters,
-                 std::size_t remainder) noexcept {
-  record_spans(width, 1, vector_iters, remainder);
-}
-
 void record_spans(std::size_t width, std::size_t spans,
                   std::size_t vector_iters_per_span,
                   std::size_t remainder) noexcept {
+  if (width <= 1) return;
   static auto& vec_iters = trace::Metrics::instance().counter("simd.vector_iters");
   static auto& rem_iters = trace::Metrics::instance().counter("simd.remainder_iters");
   static auto& lanes = trace::Metrics::instance().histogram("simd.lanes_active");

@@ -11,16 +11,17 @@
 ///    ABI and GCC lowers broadcasts into per-lane masked vbroadcastsd chains
 ///    (~4x slower than scalar). Raw vector types carry +,-,*,/ natively.
 ///  - Every primitive is force-inlined. Kernel bodies are templates over the
-///    width, instantiated inside `__attribute__((target(...)))` clones; if a
-///    body is not inlined into the clone it compiles at the baseline ISA and
-///    wide vectors are emulated through the stack.
+///    width, instantiated inside the `__attribute__((target(...)))` clones of
+///    simd::dispatch (simd/dispatch.hpp); if a body is not inlined into the
+///    clone it compiles at the baseline ISA and wide vectors are emulated
+///    through the stack.
 ///  - Loads and stores go through __builtin_memcpy, so unaligned pointers are
 ///    always fine and the tail of an array is never touched by a lane that
 ///    was not asked for.
-///  - SIMD translation units are compiled with -ffp-contract=off (see
-///    vpar_simd_kernel_sources in src/simd/CMakeLists.txt): inside an AVX-512
-///    clone GCC would otherwise contract a*b+c into an FMA and break bitwise
-///    scalar/SIMD equivalence.
+///  - Everything that links vpar_simd compiles with -ffp-contract=off (a
+///    PUBLIC option in src/simd/CMakeLists.txt): inside an AVX-512 clone, or
+///    anywhere under -march=native, GCC would otherwise contract a*b+c into
+///    an FMA and break bitwise equivalence across widths.
 ///
 /// Width configuration: VPAR_SIMD_WIDTH_CAP (1, 2, 4 or 8 doubles) is set by
 /// the VPAR_SIMD CMake option. The *effective* cap additionally requires
@@ -52,10 +53,16 @@
 #define VPAR_SIMD_CLONE_AVX512 0
 #endif
 
+// Force-inline markers for width-templated kernel code: VPAR_SIMD_INLINE on
+// functions, VPAR_SIMD_BODY on the generic lambdas handed to simd::dispatch
+// (`[&]<std::size_t W>() VPAR_SIMD_BODY { ... }`; a lambda declarator takes
+// no `inline`).
 #if defined(__GNUC__)
 #define VPAR_SIMD_INLINE __attribute__((always_inline)) inline
+#define VPAR_SIMD_BODY __attribute__((always_inline))
 #else
 #define VPAR_SIMD_INLINE inline
+#define VPAR_SIMD_BODY
 #endif
 
 namespace vpar::simd {
@@ -135,7 +142,7 @@ VPAR_SIMD_INLINE vec<W> splat(double x) {
 #endif
 }
 
-/// a*b + c without FMA contraction (the SIMD TUs build with
+/// a*b + c without FMA contraction (vpar_simd users build with
 /// -ffp-contract=off), so each lane rounds exactly like the scalar `a*b + c`.
 template <std::size_t W>
 VPAR_SIMD_INLINE vec<W> mul_add(vec<W> a, vec<W> b, vec<W> c) {

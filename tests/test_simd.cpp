@@ -220,11 +220,31 @@ TEST(SimdDispatch, ForceModesOverrideWidth) {
   const DispatchMode prev = dispatch_mode();
   set_dispatch_mode(DispatchMode::ForceScalar);
   EXPECT_EQ(active_width(), std::size_t{1});
-  EXPECT_FALSE(use_simd());
   set_dispatch_mode(DispatchMode::ForceSimd);
   EXPECT_EQ(active_width(), preferred_width());
   set_dispatch_mode(DispatchMode::Auto);
   EXPECT_EQ(active_width(), preferred_width());
+  set_dispatch_mode(prev);
+}
+
+TEST(SimdDispatch, RunsTheBodyAtTheWidthItReturns) {
+  // Widths this CPU runs, plus one no build compiles (falls back to W=1).
+  for (std::size_t width : {std::size_t{1}, preferred_width(), std::size_t{3}}) {
+    std::size_t ran = 0;
+    double out[8] = {};
+    const std::size_t got = dispatch(
+        [&]<std::size_t W>() VPAR_SIMD_BODY {
+          ran = W;
+          store<W>(out, splat<W>(1.5));
+        },
+        width);
+    EXPECT_EQ(got, ran);
+    EXPECT_EQ(got, width == 3 ? std::size_t{1} : width);
+    for (std::size_t l = 0; l < 8; ++l) EXPECT_EQ(out[l], l < got ? 1.5 : 0.0);
+  }
+  const DispatchMode prev = dispatch_mode();
+  set_dispatch_mode(DispatchMode::ForceScalar);
+  EXPECT_EQ(dispatch([]<std::size_t W>() VPAR_SIMD_BODY {}), std::size_t{1});
   set_dispatch_mode(prev);
 }
 

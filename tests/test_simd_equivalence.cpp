@@ -18,15 +18,18 @@
 #include "simrt/runtime.hpp"
 #include "trace/metrics.hpp"
 
-// Scalar-vs-SIMD equivalence for the five ported kernels. Every SIMD path
-// mirrors its scalar reference's operation order exactly (constants
-// broadcast, per-element expressions unreassociated, scalar-order per-lane
-// accumulations, -ffp-contract=off on the SIMD translation units), so the
-// comparisons below are *bitwise* — EXPECT_EQ on doubles — not tolerance
-// based. Sizes cover the paper-shaped cases plus adversarial lengths around
-// the widest vector (below width, exact width, width*k+1, primes), which
-// drive the remainder loops through every kernel. On scalar-only builds
-// ForceSimd degenerates to the scalar path and the tests pass trivially.
+// Scalar-vs-SIMD equivalence for the dispatched kernels. Each kernel has one
+// body templated on the width W; ForceScalar runs its W=1 instantiation and
+// ForceSimd the widest one. Every width executes the same expression tree
+// (constants broadcast, per-element expressions unreassociated, scalar-order
+// per-lane accumulations, -ffp-contract=off on everything linking vpar_simd),
+// so the comparisons below are *bitwise* — EXPECT_EQ on doubles — not
+// tolerance based. The GTC push is scalar at every width, so its case checks
+// that the dispatch mode does not change it. Sizes cover the paper-shaped
+// cases plus adversarial lengths around the widest vector (below width,
+// exact width, width*k+1, primes), which drive the W=1 tails through every
+// kernel. On scalar-only builds both modes run W=1 and the tests pass
+// trivially.
 
 namespace vpar {
 namespace {
