@@ -10,6 +10,9 @@
 //      poison) completes on its first attempt with zero injected faults and
 //      zero checksum failures in its own accounting — a neighbor's chaos
 //      never leaks in.
+//   3. Fault accounting: every killed job (transient or hard) reports at
+//      least one injected fault, and every bit-flip job at least one
+//      checksum failure — whether it failed or completed on a retry.
 //
 // Violations exit 1. Output is a JSON summary (stdout or [output.json]):
 // outcome buckets, retry/breaker counters, and exact p50/p99 latency.
@@ -85,10 +88,11 @@ struct StormCounts {
   std::uint64_t rejected_queue_full = 0;
   std::uint64_t rejected_breaker = 0;
   std::uint64_t isolation_violations = 0;
+  std::uint64_t accounting_violations = 0;
 };
 
 /// What the storm expects of one job, checked against its JobResult.
-enum class Kind { Clean, TransientFault, HardFault, Poison, Hopeless };
+enum class Kind { Clean, TransientFault, HardFault, Bitflip, Poison, Hopeless };
 
 struct TrackedJob {
   Kind kind = Kind::Clean;
@@ -128,7 +132,7 @@ JobSpec make_spec(int i, std::uint64_t seed, Kind& kind_out) {
     spec.retry.disarm_faults_on_retry = false;
     spec.body = ring_body;
   } else if (slot == 27) {  // detected corruption: checksums catch bit-flips
-    kind_out = Kind::HardFault;
+    kind_out = Kind::Bitflip;
     spec.tenant = "chaos";
     spec.app = "bitflip";
     spec.size = 2;
@@ -300,6 +304,19 @@ int main(int argc, char** argv) {
                   << result.error << "\"\n";
       }
     }
+    // Injected chaos must show in the job's own accounting, failed and
+    // retried attempts included.
+    const bool unaccounted =
+        ((t.kind == Kind::TransientFault || t.kind == Kind::HardFault) &&
+         result.faults_injected == 0.0) ||
+        (t.kind == Kind::Bitflip && result.checksum_failures == 0.0);
+    if (unaccounted) {
+      ++counts.accounting_violations;
+      std::cerr << "service_storm: fault job " << result.id << " ("
+                << result.app << ") ended " << to_string(result.outcome)
+                << " faults=" << result.faults_injected
+                << " checksum_failures=" << result.checksum_failures << "\n";
+    }
   }
   server.stop();
   const double wall_s = std::chrono::duration<double>(
@@ -341,6 +358,12 @@ int main(int argc, char** argv) {
               << counts.isolation_violations << " clean jobs\n";
     ok = false;
   }
+  // Invariant 3: injected faults are counted per job.
+  if (counts.accounting_violations != 0) {
+    std::cerr << "service_storm: FAULT ACCOUNTING VIOLATION on "
+              << counts.accounting_violations << " fault jobs\n";
+    ok = false;
+  }
   const auto clean_scope = server.tenant_snapshot("clean");
   const auto scope_counter = [&](const char* name) {
     const auto it = clean_scope.counters.find(name);
@@ -379,6 +402,8 @@ int main(int argc, char** argv) {
   json += "  \"breaker_opens\": " + std::to_string(stats.breaker_opens) + ",\n";
   json += "  \"isolation_violations\": " +
           std::to_string(counts.isolation_violations) + ",\n";
+  json += "  \"accounting_violations\": " +
+          std::to_string(counts.accounting_violations) + ",\n";
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.3f", p50);
   json += "  \"p50_ms\": " + std::string(buf) + ",\n";

@@ -22,14 +22,16 @@ enum class CommKind : std::size_t {
 };
 
 /// Aggregate message counts and byte volumes per communication kind for one
-/// rank. The network models convert these into time for a given platform.
+/// rank: the inputs the network models convert into time for a given
+/// platform. Operational counters (payload storage, injected faults,
+/// checksum failures, aborts) live in trace::Metrics, not here.
 ///
 /// Each bucket distinguishes *serialized* traffic (the rank blocked until the
 /// transfer finished: blocking send/recv, synchronizing collectives) from
 /// *overlapped* traffic (posted inside an overlap window — nonblocking
 /// operations whose transfer proceeds while the rank packs, unpacks or
 /// computes). messages()/bytes() return the totals so volume accounting is
-/// unchanged; the overlapped subset lets the network model credit
+/// unchanged; the overlapped bytes let the network model credit
 /// communication/computation overlap the way the paper's per-platform
 /// bandwidth analysis does.
 class CommProfile {
@@ -41,13 +43,10 @@ class CommProfile {
   }
 
   /// Record traffic posted inside an overlap window: counted in the totals
-  /// *and* in the overlapped subset.
+  /// *and* in the overlapped bytes.
   void record_overlapped(CommKind kind, double messages, double bytes) {
-    auto& b = buckets_[static_cast<std::size_t>(kind)];
-    b.messages += messages;
-    b.bytes += bytes;
-    b.overlapped_messages += messages;
-    b.overlapped_bytes += bytes;
+    record(kind, messages, bytes);
+    buckets_[static_cast<std::size_t>(kind)].overlapped_bytes += bytes;
   }
 
   /// Count one overlap window (an isend/irecv...wait region during which the
@@ -55,49 +54,14 @@ class CommProfile {
   /// predicted time, only show how much of the run was structured for overlap.
   void record_overlap_window(double windows = 1.0) { overlap_windows_ += windows; }
 
-  /// Payload storage accounting from the messaging layer: how each message
-  /// buffer was obtained. `alloc` = fresh heap allocation (arena miss),
-  /// `recycle` = arena free-list hit, `inline` = stored inside the message
-  /// object with no buffer at all. Together these make the zero-alloc
-  /// messaging claim observable: a warmed-up run should show recycles and
-  /// inlines dominating allocs.
-  void record_payload_alloc(double n = 1.0) { payload_allocs_ += n; }
-  void record_payload_recycle(double n = 1.0) { payload_recycles_ += n; }
-  void record_payload_inline(double n = 1.0) { payload_inlines_ += n; }
-
-  [[nodiscard]] double payload_allocs() const { return payload_allocs_; }
-  [[nodiscard]] double payload_recycles() const { return payload_recycles_; }
-  [[nodiscard]] double payload_inlines() const { return payload_inlines_; }
-
-  /// Robustness accounting from the fault-injection layer (see
-  /// simrt/fault.hpp): `fault` = one injected event (delay, straggler stall,
-  /// reorder, bit-flip, or rank kill), `checksum_failure` = a payload that
-  /// failed receiver-side verification, `abort` = a JobAborted observed by
-  /// this rank (cooperative abort wake-up). Together these make chaos runs
-  /// auditable: a seeded run reports exactly how much havoc it survived.
-  void record_fault_injected(double n = 1.0) { faults_injected_ += n; }
-  void record_checksum_failure(double n = 1.0) { checksum_failures_ += n; }
-  void record_abort_observed(double n = 1.0) { aborts_observed_ += n; }
-
-  [[nodiscard]] double faults_injected() const { return faults_injected_; }
-  [[nodiscard]] double checksum_failures() const { return checksum_failures_; }
-  [[nodiscard]] double aborts_observed() const { return aborts_observed_; }
-
   [[nodiscard]] double messages(CommKind kind) const {
     return buckets_[static_cast<std::size_t>(kind)].messages;
   }
   [[nodiscard]] double bytes(CommKind kind) const {
     return buckets_[static_cast<std::size_t>(kind)].bytes;
   }
-  [[nodiscard]] double overlapped_messages(CommKind kind) const {
-    return buckets_[static_cast<std::size_t>(kind)].overlapped_messages;
-  }
   [[nodiscard]] double overlapped_bytes(CommKind kind) const {
     return buckets_[static_cast<std::size_t>(kind)].overlapped_bytes;
-  }
-  [[nodiscard]] double serialized_messages(CommKind kind) const {
-    const auto& b = buckets_[static_cast<std::size_t>(kind)];
-    return b.messages - b.overlapped_messages;
   }
   [[nodiscard]] double serialized_bytes(CommKind kind) const {
     const auto& b = buckets_[static_cast<std::size_t>(kind)];
@@ -115,26 +79,14 @@ class CommProfile {
     for (const auto& b : buckets_) sum += b.messages;
     return sum;
   }
-  [[nodiscard]] double total_overlapped_bytes() const {
-    double sum = 0.0;
-    for (const auto& b : buckets_) sum += b.overlapped_bytes;
-    return sum;
-  }
 
   void merge(const CommProfile& other) {
     for (std::size_t i = 0; i < buckets_.size(); ++i) {
       buckets_[i].messages += other.buckets_[i].messages;
       buckets_[i].bytes += other.buckets_[i].bytes;
-      buckets_[i].overlapped_messages += other.buckets_[i].overlapped_messages;
       buckets_[i].overlapped_bytes += other.buckets_[i].overlapped_bytes;
     }
     overlap_windows_ += other.overlap_windows_;
-    payload_allocs_ += other.payload_allocs_;
-    payload_recycles_ += other.payload_recycles_;
-    payload_inlines_ += other.payload_inlines_;
-    faults_injected_ += other.faults_injected_;
-    checksum_failures_ += other.checksum_failures_;
-    aborts_observed_ += other.aborts_observed_;
   }
 
   /// Profile with all extensive quantities multiplied by `factor`.
@@ -143,45 +95,25 @@ class CommProfile {
     for (auto& b : out.buckets_) {
       b.messages *= factor;
       b.bytes *= factor;
-      b.overlapped_messages *= factor;
       b.overlapped_bytes *= factor;
     }
     out.overlap_windows_ *= factor;
-    out.payload_allocs_ *= factor;
-    out.payload_recycles_ *= factor;
-    out.payload_inlines_ *= factor;
-    out.faults_injected_ *= factor;
-    out.checksum_failures_ *= factor;
-    out.aborts_observed_ *= factor;
     return out;
   }
 
   void clear() {
     buckets_ = {};
     overlap_windows_ = 0.0;
-    payload_allocs_ = 0.0;
-    payload_recycles_ = 0.0;
-    payload_inlines_ = 0.0;
-    faults_injected_ = 0.0;
-    checksum_failures_ = 0.0;
-    aborts_observed_ = 0.0;
   }
 
  private:
   struct Bucket {
     double messages = 0.0;
     double bytes = 0.0;
-    double overlapped_messages = 0.0;
     double overlapped_bytes = 0.0;
   };
   std::array<Bucket, static_cast<std::size_t>(CommKind::kCount)> buckets_{};
   double overlap_windows_ = 0.0;
-  double payload_allocs_ = 0.0;
-  double payload_recycles_ = 0.0;
-  double payload_inlines_ = 0.0;
-  double faults_injected_ = 0.0;
-  double checksum_failures_ = 0.0;
-  double aborts_observed_ = 0.0;
 };
 
 }  // namespace vpar::perf

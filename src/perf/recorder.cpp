@@ -15,8 +15,9 @@ bool overlappable(CommKind kind) {
 }
 
 /// Process-wide metric handles, resolved once. The per-rank CommProfile
-/// stays the modelling-facing record; these registry counters are the
-/// always-on observability view (alive even with no recorder installed).
+/// keeps the model's inputs; these registry counters are the always-on
+/// observability view (alive even with no recorder installed) and the only
+/// home of the operational counters.
 struct Meters {
   trace::Counter& faults = trace::Metrics::instance().counter("simrt.faults_injected");
   trace::Counter& checksums = trace::Metrics::instance().counter("simrt.checksum_failures");
@@ -72,28 +73,13 @@ void record_payload(PayloadEvent event) {
     case PayloadEvent::Recycle: meters().payload_recycles.add(1); break;
     case PayloadEvent::Inline: meters().payload_inlines.add(1); break;
   }
-  if (t_recorder == nullptr) return;
-  switch (event) {
-    case PayloadEvent::Alloc: t_recorder->comm().record_payload_alloc(); break;
-    case PayloadEvent::Recycle: t_recorder->comm().record_payload_recycle(); break;
-    case PayloadEvent::Inline: t_recorder->comm().record_payload_inline(); break;
-  }
 }
 
-void record_fault_injected() {
-  meters().faults.add(1);
-  if (t_recorder != nullptr) t_recorder->comm().record_fault_injected();
-}
+void record_fault_injected() { meters().faults.add(1); }
 
-void record_checksum_failure() {
-  meters().checksums.add(1);
-  if (t_recorder != nullptr) t_recorder->comm().record_checksum_failure();
-}
+void record_checksum_failure() { meters().checksums.add(1); }
 
-void record_abort_observed() {
-  meters().aborts.add(1);
-  if (t_recorder != nullptr) t_recorder->comm().record_abort_observed();
-}
+void record_abort_observed() { meters().aborts.add(1); }
 
 void record_comm(CommKind kind, double messages, double bytes) {
   if (t_suppress_depth > 0) return;

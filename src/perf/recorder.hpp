@@ -18,30 +18,19 @@ class Recorder {
   [[nodiscard]] const KernelProfile& kernels() const { return kernels_; }
   [[nodiscard]] const CommProfile& comm() const { return comm_; }
 
-  /// Hybrid-threading accounting: loop chunks a rank's parallel_for handed to
-  /// idle pool workers. Helpers record into scratch recorders which the
-  /// runtime merges back into the owning rank's recorder (in ascending helper
-  /// order), so per-rank attribution is preserved; this counter makes the
-  /// helper traffic itself observable.
-  void record_helper_chunk(double n = 1.0) { helper_chunks_ += n; }
-  [[nodiscard]] double helper_chunks() const { return helper_chunks_; }
-
   void merge(const Recorder& other) {
     kernels_.merge(other.kernels_);
     comm_.merge(other.comm_);
-    helper_chunks_ += other.helper_chunks_;
   }
 
   void clear() {
     kernels_.clear();
     comm_.clear();
-    helper_chunks_ = 0.0;
   }
 
  private:
   KernelProfile kernels_;
   CommProfile comm_;
-  double helper_chunks_ = 0.0;
 };
 
 /// Currently installed recorder for this thread, or nullptr.
@@ -64,25 +53,26 @@ class ScopedRecorder {
 void record_loop(std::string_view region, const LoopRecord& rec);
 
 /// Report `n` loop chunks executed on behalf of other ranks by idle pool
-/// workers. Bumps the process-wide simrt.helper_chunks metric; the per-rank
-/// Recorder attribution happens separately (helpers record into scratch
-/// recorders that are merged into the owning rank's).
+/// workers: bumps the process-wide simrt.helper_chunks metric.
 void record_helper_chunks(double n);
 
-/// How a message payload buffer was obtained (see CommProfile payload
-/// accounting).
+/// How a message payload buffer was obtained: `Alloc` = fresh heap
+/// allocation (arena miss), `Recycle` = arena free-list hit, `Inline` =
+/// stored inside the message object with no buffer at all. A warmed-up run
+/// should show recycles and inlines dominating allocs.
 enum class PayloadEvent { Alloc, Recycle, Inline };
 
-/// Report a payload storage event (no-op without an installed recorder).
-/// Deliberately *not* silenced by CommRecordSuppressor: collective-internal
-/// fragments still acquire real buffers, and the counters exist to observe
-/// exactly that allocator traffic.
+/// Report a payload storage event: bumps arena.payload_{allocs,recycles,
+/// inlines}. Deliberately *not* silenced by CommRecordSuppressor:
+/// collective-internal fragments still acquire real buffers, and the counters
+/// exist to observe exactly that allocator traffic.
 void record_payload(PayloadEvent event);
 
-/// Robustness events from the fault-injection layer (no-ops without an
-/// installed recorder). Like payload events, these are *not* silenced by
-/// CommRecordSuppressor: faults injected into collective-internal fragments
-/// are exactly what chaos audits need to see.
+/// Robustness events from the fault-injection layer: bump
+/// simrt.faults_injected, simrt.checksum_failures and simrt.aborts_observed.
+/// Like payload events, these are *not* silenced by CommRecordSuppressor:
+/// faults injected into collective-internal fragments are exactly what chaos
+/// audits need to see.
 void record_fault_injected();
 void record_checksum_failure();
 void record_abort_observed();

@@ -59,11 +59,14 @@ struct JobSpec {
   std::function<void(simrt::Communicator&)> body;
 };
 
-/// Everything the service knows about one finished job. The comm/robustness
-/// totals and the `metrics` snapshot come from the job's *own* RunResult only
-/// — a scoped registry populated after the run, never from process-wide
-/// counters — so a neighbor tenant's traffic cannot contaminate them no
-/// matter what ran concurrently.
+/// Everything the service knows about one finished job, counted from the
+/// job's *own* ranks only — never from process-wide counters — so a neighbor
+/// tenant's traffic cannot contaminate it no matter what ran concurrently.
+/// `attempts`, `faults_injected` and `checksum_failures` are counted by the
+/// server's wrapper around every rank of every attempt, so failed and
+/// retried attempts are included. `total_messages`, `total_bytes` and the
+/// `metrics` histograms come from the final attempt's RunResult and stay
+/// zero/empty when no attempt completed.
 struct JobResult {
   std::uint64_t id = 0;
   std::string app;
@@ -82,9 +85,9 @@ struct JobResult {
   double latency_ms = 0.0; // admission -> completion
   double total_messages = 0.0;
   double total_bytes = 0.0;
-  double faults_injected = 0.0;
-  double checksum_failures = 0.0;
-  trace::MetricsSnapshot metrics;  // per-job scope (log2 histograms per rank)
+  double faults_injected = 0.0;    // over all attempts, every rank
+  double checksum_failures = 0.0;  // ChecksumErrors that left a rank's body
+  trace::MetricsSnapshot metrics;  // rank.messages / rank.bytes histograms
 
   [[nodiscard]] bool completed() const {
     return outcome == Outcome::Completed ||

@@ -242,13 +242,30 @@ JobResult JobServer::run_job(simrt::Executor& executor, Pending& pending) {
   if (policy.jitter == 0.0) policy.jitter = config_.default_retry_jitter;
   if (policy.jitter_seed == 0) policy.jitter_seed = spec.seed ^ pending.id;
 
-  // Exact attempt count even when the final failure is rethrown through the
-  // retry loop: rank 0 bumps it on body entry, before any fault can fire.
+  // Per-job facts counted at the rank boundary of every attempt, failed and
+  // retried ones included: rank 0 bumps the attempt count on body entry,
+  // before any fault can fire; every rank adds its injector's faults when
+  // its body returns or throws, and counts a ChecksumError that leaves it.
   std::atomic<int> attempts{0};
+  std::atomic<std::uint64_t> faults{0};
+  std::atomic<std::uint64_t> checksum_failures{0};
   const std::function<void(simrt::Communicator&)> body =
       [&](simrt::Communicator& comm) {
         if (comm.rank() == 0) attempts.fetch_add(1, std::memory_order_relaxed);
-        spec.body(comm);
+        const auto tally = [&] {
+          faults.fetch_add(comm.faults_injected(), std::memory_order_relaxed);
+        };
+        try {
+          spec.body(comm);
+        } catch (const simrt::ChecksumError&) {
+          checksum_failures.fetch_add(1, std::memory_order_relaxed);
+          tally();
+          throw;
+        } catch (...) {
+          tally();
+          throw;
+        }
+        tally();
       };
 
   auto fail = [&result](const char* type, const char* what) {
@@ -259,7 +276,7 @@ JobResult JobServer::run_job(simrt::Executor& executor, Pending& pending) {
 
   trace::TraceSpan span("service.job", static_cast<std::int64_t>(pending.id),
                         spec.size);
-  trace::Metrics scope;  // per-job registry: this job's results only
+  trace::Metrics scope;  // per-job registry: this job's per-rank histograms
   const auto start = std::chrono::steady_clock::now();
   try {
     simrt::RetryResult rr =
@@ -269,8 +286,6 @@ JobResult JobServer::run_job(simrt::Executor& executor, Pending& pending) {
     const auto& comm = rr.result.merged.comm();
     result.total_messages = comm.total_messages();
     result.total_bytes = comm.total_bytes();
-    result.faults_injected = comm.faults_injected();
-    result.checksum_failures = comm.checksum_failures();
     auto& rank_messages = scope.histogram("rank.messages");
     auto& rank_bytes = scope.histogram("rank.bytes");
     for (const auto& r : rr.result.per_rank) {
@@ -292,12 +307,10 @@ JobResult JobServer::run_job(simrt::Executor& executor, Pending& pending) {
   result.run_ms = to_ms(std::chrono::steady_clock::now() - start);
   result.attempts =
       std::max(attempts.load(std::memory_order_relaxed), 1);
-
-  scope.counter("job.attempts").add(static_cast<std::uint64_t>(result.attempts));
-  scope.counter("comm.messages").add(to_u64(result.total_messages));
-  scope.counter("comm.bytes").add(to_u64(result.total_bytes));
-  scope.counter("faults.injected").add(to_u64(result.faults_injected));
-  scope.counter("checksum.failures").add(to_u64(result.checksum_failures));
+  result.faults_injected =
+      static_cast<double>(faults.load(std::memory_order_relaxed));
+  result.checksum_failures =
+      static_cast<double>(checksum_failures.load(std::memory_order_relaxed));
   result.metrics = scope.snapshot();
   return result;
 }
@@ -363,6 +376,8 @@ void JobServer::write_failure_report(const JobResult& result) const {
       << "\",\"error\":\"" << json_escape(result.error)
       << "\",\"failed_rank\":" << result.failed_rank
       << ",\"attempts\":" << result.attempts
+      << ",\"faults_injected\":" << result.faults_injected
+      << ",\"checksum_failures\":" << result.checksum_failures
       << ",\"queue_ms\":" << result.queue_ms
       << ",\"run_ms\":" << result.run_ms
       << ",\"latency_ms\":" << result.latency_ms << "}\n";

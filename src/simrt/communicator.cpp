@@ -69,22 +69,20 @@ void Communicator::barrier() {
   const int P = size();
   trace::TraceSpan span("comm.barrier", P);
   begin_op("barrier");
-  if (P <= kBarrierRendezvousMax && !state_->multiprocess()) {
-    // Small teams: the centralized rendezvous is one shared cacheline and a
-    // single sleep/wake per rank; measured faster than log-depth message
-    // rounds up to ~8 ranks on the harness host (the algorithm switch by
-    // communicator size that production MPI barriers also make).
+  if (!state_->multiprocess()) {
+    // In-process teams: the centralized rendezvous is one shared counter and
+    // a single futex sleep/wake per rank. bench/wallclock barrier_storm at
+    // P=8 ran ~5x faster on it than on the message rounds below (4-core
+    // Xeon; docs/performance.md "Barrier").
     state_->rendezvous.arrive_and_wait(rank_);
   } else {
-    // Dissemination barrier, ceil(log2 P) rounds: in round k every rank
-    // signals (rank + 2^k) mod P and waits on (rank - 2^k) mod P, so each
-    // rank has transitively heard from all P ranks when the last round
-    // completes. Unlike the O(P) rendezvous there is no global serialization
-    // point — each round is an independent pairwise handoff over the
-    // mailboxes. Consecutive barriers cannot cross-match: each (sender,
-    // receiver) pair occurs in at most one round per barrier (distinct
-    // powers of two below P are distinct mod P), and the mailbox preserves
-    // FIFO order per (sender, tag).
+    // Rank processes share no memory: dissemination barrier, ceil(log2 P)
+    // rounds. In round k every rank signals (rank + 2^k) mod P and waits on
+    // (rank - 2^k) mod P, so each rank has transitively heard from all P
+    // ranks when the last round completes. Consecutive barriers cannot
+    // cross-match: each (sender, receiver) pair occurs in at most one round
+    // per barrier (distinct powers of two below P are distinct mod P), and
+    // the mailbox preserves FIFO order per (sender, tag).
     for (int step = 1; step < P; step <<= 1) {
       raw_send((rank_ + step) % P, Payload{}, kTagBarrier);
       (void)raw_receive((rank_ - step + P) % P, kTagBarrier, "barrier");

@@ -93,12 +93,12 @@ struct RuntimeState {
 ///
 /// Collectives are built on log-depth pairwise exchanges over the mailboxes
 /// (binomial gather/broadcast trees, a dissemination barrier, pipelined
-/// pairwise all-to-all); the global Rendezvous remains only as the barrier
-/// fallback for tiny jobs and the CoArray phase fence. User tags must be
-/// >= 0 — the
-/// negative tag space carries collective traffic, and kAnyTag wildcards
-/// match user messages only, so a wildcard receive can never steal a
-/// collective fragment.
+/// pairwise all-to-all). The barrier of an in-process team and the CoArray
+/// phase fence use the global Rendezvous instead; rank processes sharing no
+/// memory take the dissemination barrier. User tags must be >= 0 — the
+/// negative tag space carries collective traffic, and kAnyTag wildcards match
+/// user messages only, so a wildcard receive can never steal a collective
+/// fragment.
 ///
 /// Every operation reports its volume to the installed perf::Recorder so
 /// network models can cost the run afterwards; traffic posted inside a
@@ -124,6 +124,11 @@ class Communicator {
   /// Public communication calls made through this communicator so far — the
   /// call index FaultPlan::fail_at_call and failure reports refer to.
   [[nodiscard]] std::uint64_t comm_calls() const { return calls_; }
+
+  /// Faults the job's FaultPlan has injected on this rank so far.
+  [[nodiscard]] std::uint64_t faults_injected() const {
+    return injector_.injected();
+  }
 
   // --- point to point -----------------------------------------------------
 
@@ -388,69 +393,57 @@ class Communicator {
 
   /// Personalized all-to-all: `outboxes[d]` is this rank's data for rank `d`;
   /// the return value's element `s` holds the data rank `s` sent to this
-  /// rank. Implemented as P-1 pipelined pairwise exchange rounds (round r
-  /// pairs rank with rank±r) — the global-transpose pattern of the
-  /// distributed 3D FFT, recorded as one overlapped AllToAll operation.
+  /// rank. The global-transpose pattern of the distributed 3D FFT: the
+  /// pipelined exchange below, packing a view of each outbox.
   template <typename T>
   [[nodiscard]] std::vector<std::vector<T>> alltoallv(
       const std::vector<std::vector<T>>& outboxes) {
-    const int P = size();
-    if (static_cast<int>(outboxes.size()) != P) {
+    if (static_cast<int>(outboxes.size()) != size()) {
       throw std::runtime_error("alltoallv: need one outbox per rank");
     }
-    trace::TraceSpan span("comm.alltoallv", P);
-    begin_op("alltoallv");
-    perf::OverlapScope window;
-    std::vector<std::vector<T>> inboxes(static_cast<std::size_t>(P));
-    double bytes = 0.0;
-    {
-      perf::CommRecordSuppressor mute;
-      inboxes[static_cast<std::size_t>(rank_)] = outboxes[static_cast<std::size_t>(rank_)];
-      for (int r = 1; r < P; ++r) {
-        const auto dest = static_cast<std::size_t>((rank_ + r) % P);
-        const int src = (rank_ + P - r) % P;
-        bytes += static_cast<double>(outboxes[dest].size() * sizeof(T));
-        raw_send(static_cast<int>(dest),
-                 Payload::copy_of(std::as_bytes(std::span<const T>(outboxes[dest]))),
-                 kTagAlltoall);
-        Message m = raw_receive(src, kTagAlltoall, "alltoallv");
-        auto& in = inboxes[static_cast<std::size_t>(src)];
-        in.resize(m.payload.size() / sizeof(T));
-        if (!in.empty()) std::memcpy(in.data(), m.payload.data(), m.payload.size());
-      }
-    }
-    // One collective operation; the network model charges log-depth latency.
-    perf::record_comm(perf::CommKind::AllToAll, 1.0, bytes);
+    std::vector<std::vector<T>> inboxes(outboxes.size());
+    alltoallv_pipelined<T>(
+        [&](int dest) {
+          return std::span<const T>(outboxes[static_cast<std::size_t>(dest)]);
+        },
+        [&](int src, std::vector<T> block) {
+          inboxes[static_cast<std::size_t>(src)] = std::move(block);
+        });
     return inboxes;
   }
 
   /// Streaming all-to-all for transpose pipelines: `pack(dest)` produces the
-  /// block for rank `dest` just before it is sent (by move, no payload
-  /// copy); `unpack(src, block)` consumes each arriving block immediately.
-  /// Packing and unpacking of round r thus overlap the traffic of rounds
-  /// r±1 — the overlap structure the ported FFT transpose relies on.
+  /// block for rank `dest` just before it is sent, either as a
+  /// std::vector<T> (handed off by move, no payload copy) or as a
+  /// std::span<const T> of data that outlives the call (copied once, into a
+  /// recycled arena buffer); `unpack(src, block)` consumes each arriving
+  /// block, a std::vector<T>, immediately. P-1 pairwise exchange rounds
+  /// (round r pairs rank with rank±r), so packing and unpacking of round r
+  /// overlap the traffic of rounds r±1 — the overlap structure the ported FFT
+  /// transpose relies on. Recorded as one overlapped AllToAll operation.
   template <typename T, typename PackFn, typename UnpackFn>
   void alltoallv_pipelined(PackFn&& pack, UnpackFn&& unpack) {
     const int P = size();
-    trace::TraceSpan span("comm.alltoallv_pipelined", P);
+    trace::TraceSpan span("comm.alltoallv", P);
     begin_op("alltoallv");
     perf::OverlapScope window;
     double bytes = 0.0;
     {
       perf::CommRecordSuppressor mute;
-      unpack(rank_, pack(rank_));  // self block never crosses the wire
+      unpack(rank_, owned_block<T>(pack(rank_)));  // never crosses the wire
       for (int r = 1; r < P; ++r) {
         const int dest = (rank_ + r) % P;
         const int src = (rank_ + P - r) % P;
-        std::vector<T> box = pack(dest);
+        auto box = pack(dest);
         bytes += static_cast<double>(box.size() * sizeof(T));
-        raw_send(dest, Payload::adopt(std::move(box)), kTagAlltoallPipe);
-        Message m = raw_receive(src, kTagAlltoallPipe, "alltoallv");
+        raw_send(dest, block_payload<T>(std::move(box)), kTagAlltoall);
+        Message m = raw_receive(src, kTagAlltoall, "alltoallv");
         std::vector<T> in(m.payload.size() / sizeof(T));
         if (!in.empty()) std::memcpy(in.data(), m.payload.data(), m.payload.size());
         unpack(src, std::move(in));
       }
     }
+    // One collective operation; the network model charges log-depth latency.
     perf::record_comm(perf::CommKind::AllToAll, 1.0, bytes);
   }
 
@@ -495,13 +488,24 @@ class Communicator {
   static constexpr int kTagBroadcast = -12;
   static constexpr int kTagGather = -13;
   static constexpr int kTagAlltoall = -14;
-  static constexpr int kTagAlltoallPipe = -15;
   static constexpr int kTagBarrier = -16;
 
-  /// Largest team size still served by the centralized rendezvous barrier;
-  /// larger teams use the log-depth dissemination barrier over the
-  /// mailboxes (see barrier()).
-  static constexpr int kBarrierRendezvousMax = 8;
+  /// A packed all-to-all block as a vector (the self block) or as a wire
+  /// payload: a vector moves, a span is copied.
+  template <typename T>
+  static std::vector<T> owned_block(std::vector<T>&& box) { return std::move(box); }
+  template <typename T>
+  static std::vector<T> owned_block(std::span<const T> box) {
+    return {box.begin(), box.end()};
+  }
+  template <typename T>
+  static Payload block_payload(std::vector<T>&& box) {
+    return Payload::adopt(std::move(box));
+  }
+  template <typename T>
+  static Payload block_payload(std::span<const T> box) {
+    return Payload::copy_of(std::as_bytes(box));
+  }
 
   void check_dest_tag(int dest, int tag) const {
     if (dest < 0 || dest >= size()) throw std::runtime_error("send: bad destination rank");

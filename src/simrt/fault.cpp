@@ -134,12 +134,12 @@ FaultInjector::FaultInjector(const FaultPlan& plan, int rank)
 void FaultInjector::on_call(std::uint64_t call) {
   if (!enabled_) return;
   if (straggler_ && plan_->straggle_us > 0) {
-    perf::record_fault_injected();
+    count_fault();
     trace::emit_instant("fault.straggle", plan_->straggle_us);
     std::this_thread::sleep_for(std::chrono::microseconds(plan_->straggle_us));
   }
   if (rank_ == plan_->fail_rank && call == plan_->fail_at_call) {
-    perf::record_fault_injected();
+    count_fault();
     trace::emit_instant("fault.kill", static_cast<std::int64_t>(call));
     throw InjectedFault("injected rank failure at comm call #" +
                         std::to_string(call));
@@ -153,21 +153,21 @@ void FaultInjector::apply_send_faults(std::span<std::byte> payload, int tag,
   if (plan_->delay_prob > 0.0 && plan_->delay_max_us > 0 &&
       u01(draw(*plan_, rank_, s, 1)) < plan_->delay_prob) {
     const auto us = 1 + draw(*plan_, rank_, s, 2) % plan_->delay_max_us;
-    perf::record_fault_injected();
+    count_fault();
     trace::emit_instant("fault.delay", static_cast<std::int64_t>(us), tag);
     std::this_thread::sleep_for(std::chrono::microseconds(us));
   }
   if (plan_->reorder_prob > 0.0 &&
       u01(draw(*plan_, rank_, s, 3)) < plan_->reorder_prob) {
     reorder_slots = 1 + static_cast<int>(draw(*plan_, rank_, s, 4) % 4);
-    perf::record_fault_injected();
+    count_fault();
     trace::emit_instant("fault.reorder", reorder_slots, tag);
   }
   if (plan_->bitflip_prob > 0.0 && tag >= 0 && !payload.empty() &&
       u01(draw(*plan_, rank_, s, 5)) < plan_->bitflip_prob) {
     const std::uint64_t bit = draw(*plan_, rank_, s, 6) % (payload.size() * 8);
     payload[bit / 8] ^= std::byte{1} << (bit % 8);
-    perf::record_fault_injected();
+    count_fault();
     trace::emit_instant("fault.bitflip", static_cast<std::int64_t>(bit), tag);
   }
 }
@@ -175,7 +175,7 @@ void FaultInjector::apply_send_faults(std::span<std::byte> payload, int tag,
 bool FaultInjector::should_drop(int tag) {
   if (!enabled_ || tag < 0 || plan_->drop_prob <= 0.0) return false;
   if (u01(draw(*plan_, rank_, sends_, 7)) >= plan_->drop_prob) return false;
-  perf::record_fault_injected();
+  count_fault();
   trace::emit_instant("fault.drop", tag);
   return true;
 }
@@ -183,7 +183,14 @@ bool FaultInjector::should_drop(int tag) {
 bool FaultInjector::should_fail_alloc() {
   if (!enabled_ || plan_->alloc_fail_prob <= 0.0) return false;
   const std::uint64_t a = ++allocs_;
-  return u01(draw(*plan_, rank_, a, 8)) < plan_->alloc_fail_prob;
+  if (u01(draw(*plan_, rank_, a, 8)) >= plan_->alloc_fail_prob) return false;
+  count_fault();
+  return true;
+}
+
+void FaultInjector::count_fault() {
+  ++injected_;
+  perf::record_fault_injected();
 }
 
 namespace {
@@ -201,7 +208,6 @@ FaultInjector* exchange_thread_injector(FaultInjector* injector) {
 void maybe_inject_alloc_failure(std::size_t bytes) {
   FaultInjector* inj = t_thread_injector;
   if (inj == nullptr || !inj->should_fail_alloc()) return;
-  perf::record_fault_injected();
   trace::emit_instant("fault.alloc_fail", static_cast<std::int64_t>(bytes));
   throw InjectedFault("injected arena allocation failure (" +
                       std::to_string(bytes) + " bytes)");

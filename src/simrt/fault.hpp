@@ -297,6 +297,11 @@ class FaultInjector {
 
   [[nodiscard]] bool enabled() const { return enabled_; }
 
+  /// Faults this injector has injected so far (every delay, straggler stall,
+  /// reorder, bit-flip, drop, allocation failure and rank kill), also counted
+  /// process-wide in simrt.faults_injected.
+  [[nodiscard]] std::uint64_t injected() const { return injected_; }
+
   /// Invoked at the top of every communication call (`call` is the 1-based
   /// per-rank call index): applies the straggler stall and the injected rank
   /// failure (throws InjectedFault).
@@ -316,12 +321,15 @@ class FaultInjector {
   [[nodiscard]] bool should_fail_alloc();
 
  private:
+  void count_fault();
+
   const FaultPlan* plan_ = nullptr;
   int rank_ = 0;
   bool enabled_ = false;
   bool straggler_ = false;
   std::uint64_t sends_ = 0;
   std::uint64_t allocs_ = 0;
+  std::uint64_t injected_ = 0;
 };
 
 /// Install `injector` as the calling thread's ambient injector and return

@@ -41,9 +41,12 @@ thread_local bool t_in_worker = false;
 
 /// Loop-service context of the rank body executing on this worker thread:
 /// set around the body in worker_loop so parallel_for can find the job's
-/// control block and the owning rank. Null on helpers, on run_spawned
-/// threads, and outside the runtime — parallel_for degrades to serial there.
+/// control block, the owning rank and the executor whose idle workers may
+/// help (a JobServer lane's private pool, not necessarily the shared one).
+/// Null on helpers, on run_spawned threads, and outside the runtime —
+/// parallel_for degrades to serial there.
 thread_local RuntimeState* t_loop_state = nullptr;
+thread_local Executor* t_loop_executor = nullptr;
 thread_local int t_loop_rank = -1;
 
 /// True while this thread executes a parallel_for body chunk (owner or
@@ -451,6 +454,7 @@ void Executor::worker_loop(int rank, std::uint64_t seen) {
       perf::ScopedRecorder scoped(state->recorders[static_cast<std::size_t>(rank)]);
       Communicator comm(*state, rank);
       t_loop_state = state;
+      t_loop_executor = this;
       t_loop_rank = rank;
       try {
         (*body)(comm);
@@ -459,6 +463,7 @@ void Executor::worker_loop(int rank, std::uint64_t seen) {
                             first_error_);
       }
       t_loop_state = nullptr;
+      t_loop_executor = nullptr;
       t_loop_rank = -1;
     }
     trace::set_thread_rank(-1);
@@ -473,8 +478,9 @@ void Executor::worker_loop(int rank, std::uint64_t seen) {
 namespace {
 
 /// Claim and run chunks of `task` until none remain, recording into a
-/// scratch recorder the owner later merges (helper side). Returns with
-/// in_flight already decremented and the latch notified.
+/// scratch recorder the owner later merges (helper side), and count the
+/// chunks in simrt.helper_chunks. Returns with in_flight already decremented
+/// and the latch notified.
 void serve_task(LoopTask& task) {
   perf::Recorder scratch;
   double chunks = 0.0;
@@ -505,7 +511,6 @@ void serve_task(LoopTask& task) {
     }
     t_in_loop_chunk = false;
   }
-  scratch.record_helper_chunk(chunks);
   perf::record_helper_chunks(chunks);
   std::lock_guard g(task.m);
   // Merge even the records of a failed loop into the partial map; the owner
@@ -706,7 +711,7 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
   const HybridMode mode = g_hybrid_mode.load(std::memory_order_relaxed);
   if (state != nullptr && !t_in_loop_chunk &&
       hybrid_policy_engages(mode, state->size)) {
-    idle = Executor::shared().idle_helpers(state->size);
+    idle = t_loop_executor->idle_helpers(state->size);
   }
 
   const bool auto_grain = grain == 0;
@@ -764,7 +769,7 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
   task.grain = grain;
   task.owner = t_loop_rank;
   task.body = &body;
-  Executor::shared().loop_parallel(*state, t_loop_rank, task);
+  t_loop_executor->loop_parallel(*state, t_loop_rank, task);
 }
 
 int parallel_width() {
@@ -774,7 +779,7 @@ int parallel_width() {
                              state->size)) {
     return 1;
   }
-  return 1 + Executor::shared().idle_helpers(state->size);
+  return 1 + t_loop_executor->idle_helpers(state->size);
 }
 
 RunResult run(const RunOptions& options,

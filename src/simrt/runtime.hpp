@@ -43,7 +43,8 @@ struct RunResult {
 ///
 /// Concurrency contract: jobs are serialized — a run() call blocks until the
 /// pool is free. Worker threads are lazily grown to the largest size seen;
-/// workers whose rank is beyond the current job's size sleep through it. An
+/// workers whose rank is beyond the current job's size serve that job's
+/// parallel_for chunks (simrt/parallel.hpp), never another executor's. An
 /// exception escaping any rank is rethrown to the caller after the job
 /// drains, and the cached RuntimeState is discarded (in-flight messages of a
 /// failed job must not leak into the next one) — the pool itself stays

@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -440,9 +443,9 @@ TEST(TenantIsolation, ExecutorReusedAcrossFailingTenantsStaysHealthy) {
   EXPECT_EQ(stats.completed, 4u);
 }
 
-// Per-job metrics scopes are populated from the job's own RunResult only:
-// even with jobs of very different traffic running concurrently, each
-// snapshot reflects exactly its own job.
+// Per-job metrics scopes hold the job's per-rank histograms, populated from
+// its own RunResult only: even with jobs of very different traffic running
+// concurrently, each snapshot reflects exactly its own job.
 TEST(TenantIsolation, PerJobMetricScopesDoNotBleed) {
   ServerConfig config;
   config.lanes = 2;
@@ -467,11 +470,74 @@ TEST(TenantIsolation, PerJobMetricScopesDoNotBleed) {
   const auto& quiet_hist = quiet_result.metrics.histograms.at("rank.messages");
   EXPECT_EQ(loud_hist.count(), 4u);
   EXPECT_EQ(quiet_hist.count(), 2u);
-  EXPECT_EQ(counter_of(loud_result.metrics, "comm.messages"),
+  EXPECT_EQ(loud_hist.sum,
             static_cast<std::uint64_t>(loud_result.total_messages));
-  EXPECT_EQ(counter_of(quiet_result.metrics, "comm.messages"),
+  EXPECT_EQ(quiet_hist.sum,
             static_cast<std::uint64_t>(quiet_result.total_messages));
+  EXPECT_TRUE(loud_result.metrics.counters.empty());
   EXPECT_GT(loud_result.total_messages, 10.0 * quiet_result.total_messages);
+}
+
+// --- per-job fault accounting -----------------------------------------------
+//
+// Faults and checksum failures are counted at the rank boundary of every
+// attempt, so jobs that fail, or fail first and then complete on a retry,
+// still report what was injected into them.
+
+// A bit-flip job fails on the receiver's checksum. Its JobResult, its tenant
+// scope and its failure report all carry the flips and the checksum failures.
+TEST(FaultAccounting, FailedBitflipJobReportsFaultsAndChecksumFailures) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "vpar_fault_accounting_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ServerConfig config;
+  config.failure_reports = true;
+  config.failure_report_dir = dir.string();
+  JobServer server(config);
+  JobSpec spec = clean_spec("flip");
+  spec.app = "bitflip";
+  spec.checksums = true;
+  spec.seed = 7;
+  spec.fault.seed = 7;
+  spec.fault.bitflip_prob = 1.0;
+  const JobResult r = server.submit(std::move(spec)).ticket.wait();
+  EXPECT_EQ(r.outcome, Outcome::Failed);
+  EXPECT_TRUE(contains(r.error, "checksum")) << r.error;
+  EXPECT_GE(r.faults_injected, 1.0);
+  EXPECT_GE(r.checksum_failures, 1.0);
+
+  const auto scope = server.tenant_snapshot("flip");
+  EXPECT_GE(counter_of(scope, "faults.injected"), 1u);
+  EXPECT_GE(counter_of(scope, "checksum.failures"), 1u);
+
+  std::ifstream report(dir / ("vpar_job." + std::to_string(r.id) + ".flip.json"));
+  ASSERT_TRUE(report.good());
+  std::stringstream text;
+  text << report.rdbuf();
+  EXPECT_TRUE(contains(text.str(), "\"faults_injected\":")) << text.str();
+  EXPECT_TRUE(contains(text.str(), "\"checksum_failures\":")) << text.str();
+  EXPECT_FALSE(contains(text.str(), "\"checksum_failures\":0,")) << text.str();
+  std::filesystem::remove_all(dir);
+}
+
+// A transient kill fails the first attempt; the retry runs with the fault plan
+// disarmed and completes. The kill still counts.
+TEST(FaultAccounting, TransientKillCompletedOnRetryKeepsItsFault) {
+  JobServer server;
+  JobSpec spec = killed_spec("transient", 1, 3);
+  spec.retry.max_retries = 1;
+  spec.retry.backoff = 1ms;
+  spec.retry.disarm_faults_on_retry = true;
+  const JobResult r = server.submit(std::move(spec)).ticket.wait();
+  EXPECT_EQ(r.outcome, Outcome::RetriedThenCompleted) << r.error;
+  EXPECT_EQ(r.attempts, 2);
+  EXPECT_GE(r.faults_injected, 1.0);
+  EXPECT_EQ(r.checksum_failures, 0.0);
+
+  const auto scope = server.tenant_snapshot("transient");
+  EXPECT_EQ(counter_of(scope, "jobs.retried"), 1u);
+  EXPECT_GE(counter_of(scope, "faults.injected"), 1u);
 }
 
 // --- breaker unit behaviour --------------------------------------------------

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "simrt/runtime.hpp"
+#include "trace/metrics.hpp"
 
 namespace vpar::simrt {
 namespace {
@@ -104,16 +105,18 @@ TEST(Executor, PayloadCountersObservable) {
       comm.barrier();
     }
   };
-  const RunResult r = run(2, job);
-  EXPECT_GE(r.merged.comm().payload_inlines(), 6.0);
-  EXPECT_GE(r.merged.comm().payload_allocs(), 1.0);
-  EXPECT_GE(r.merged.comm().payload_recycles(), 1.0);
+  const auto before = trace::Metrics::instance().snapshot();
+  run(2, job);
+  const auto delta = trace::Metrics::instance().snapshot().diff(before);
+  EXPECT_GE(delta.counters.at("arena.payload_inlines"), 6u);
+  EXPECT_GE(delta.counters.at("arena.payload_allocs"), 1u);
+  EXPECT_GE(delta.counters.at("arena.payload_recycles"), 1u);
 }
 
-// Teams larger than the rendezvous cutoff take the dissemination path; the
-// two-barrier pattern makes any missed synchronization visible as a torn
-// counter read. P = 16 exercises exact power-of-two rounds, P = 12 the
-// mod-P wraparound.
+// The in-process barrier is the rendezvous at every team size, also beyond
+// 8 ranks: the two-barrier pattern makes any missed synchronization visible
+// as a torn counter read. P = 16 and P = 12 cover a power-of-two team and
+// one that is not.
 void barrier_phase_test(int P) {
   std::atomic<int> counter{0};
   const RunResult r = run(P, [&](Communicator& comm) {
@@ -128,9 +131,9 @@ void barrier_phase_test(int P) {
                    static_cast<double>(100 * P));
 }
 
-TEST(Executor, DisseminationBarrierPowerOfTwoTeam) { barrier_phase_test(16); }
+TEST(Executor, RendezvousBarrierPowerOfTwoTeam) { barrier_phase_test(16); }
 
-TEST(Executor, DisseminationBarrierNonPowerOfTwoTeam) { barrier_phase_test(12); }
+TEST(Executor, RendezvousBarrierNonPowerOfTwoTeam) { barrier_phase_test(12); }
 
 TEST(Executor, NestedRunFallsBackToSpawnedThreads) {
   std::atomic<int> inner_total{0};

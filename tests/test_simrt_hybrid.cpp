@@ -23,6 +23,7 @@
 #include "paratec/scf.hpp"
 #include "simrt/parallel.hpp"
 #include "simrt/runtime.hpp"
+#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace vpar::simrt {
@@ -46,6 +47,15 @@ struct ModeGuard {
 /// Grow the shared pool so jobs smaller than 8 ranks have idle helpers.
 void warm_pool() {
   run(8, [](Communicator&) {});
+}
+
+/// simrt.helper_chunks counted since `before`. A test process runs its jobs
+/// one after another, and a helper counts its chunks before the owner's
+/// parallel_for returns, so the difference is exactly the jobs in between.
+std::uint64_t helper_chunks_since(const trace::MetricsSnapshot& before) {
+  const auto delta = trace::Metrics::instance().snapshot().diff(before);
+  const auto it = delta.counters.find("simrt.helper_chunks");
+  return it == delta.counters.end() ? 0 : it->second;
 }
 
 // --- serial semantics --------------------------------------------------------
@@ -108,16 +118,16 @@ TEST(ParallelFor, HelpersServeChunksAndAttributeToOwningRank) {
   // below would catch it) unless two distinct threads are inside the body
   // simultaneously, so a pass proves a helper really participated.
   std::latch rendezvous(2);
-  const RunResult result = run(1, [&](Communicator&) {
+  const auto before = trace::Metrics::instance().snapshot();
+  run(1, [&](Communicator&) {
     parallel_for(0, 2, 1, [&](std::size_t lo, std::size_t) {
       served[lo] = std::this_thread::get_id();
       rendezvous.arrive_and_wait();
     });
   });
   EXPECT_NE(served[0], served[1]);
-  // The helper's loop records are merged into the owning rank's recorder and
-  // tagged as helper-served chunks (the perf attribution path).
-  EXPECT_GE(result.merged.helper_chunks(), 1.0);
+  // The helper's chunk is counted in the process-wide helper metric.
+  EXPECT_GE(helper_chunks_since(before), 1u);
 }
 
 TEST(ParallelFor, NestedCallsDegradeToSerialInsideAChunk) {
@@ -138,6 +148,29 @@ TEST(ParallelFor, NestedCallsDegradeToSerialInsideAChunk) {
   for (auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 
+// A job on a private Executor (a service lane's pool) may borrow only that
+// executor's idle workers. Helpers the shared pool left parked after a
+// smaller job must never see its loops: two ranks on a two-worker private
+// pool have nobody to help.
+TEST(ParallelFor, PrivateExecutorJobNeverBorrowsSharedHelpers) {
+  ModeGuard guard(HybridMode::On);
+  run(4, [](Communicator&) {});  // the shared pool has at least 4 workers...
+  run(1, [](Communicator&) {});  // ...and all but one park as helpers
+  Executor lane;
+  constexpr std::size_t kIters = 32;
+  std::vector<std::atomic<int>> counts(2 * kIters);
+  const auto before = trace::Metrics::instance().snapshot();
+  lane.run(2, [&](Communicator& comm) {
+    const std::size_t base = static_cast<std::size_t>(comm.rank()) * kIters;
+    parallel_for(0, kIters, 1, [&](std::size_t lo, std::size_t hi) {
+      std::this_thread::sleep_for(200us);  // long enough for a helper to join
+      for (std::size_t i = lo; i < hi; ++i) counts[base + i].fetch_add(1);
+    });
+  });
+  EXPECT_EQ(helper_chunks_since(before), 0u);
+  for (auto& c : counts) EXPECT_EQ(c.load(), 1);
+}
+
 // --- Auto: the hand-off budget -----------------------------------------------
 //
 // Under Auto the owner times a probe (the first chunk, or one iteration of an
@@ -146,20 +179,23 @@ TEST(ParallelFor, NestedCallsDegradeToSerialInsideAChunk) {
 
 /// The decline is a wall-clock decision: a probe preempted on a loaded or
 /// sanitizer-slowed host legitimately engages helpers. So a cheap loop must
-/// be declined in at least one of a few P=1 jobs; returns the first declined
-/// job's result (else the last). Each job first lets the pool settle: a job
-/// start wakes every worker, and the idle ones take a moment to park again.
-RunResult run_until_declined(const std::function<void(Communicator&)>& job) {
-  RunResult result;
+/// be declined in at least one of a few P=1 jobs; returns the helper chunks
+/// of the first declined job (else of the last). Each job first lets the pool
+/// settle: a job start wakes every worker, and the idle ones take a moment to
+/// park again.
+std::uint64_t run_until_declined(const std::function<void(Communicator&)>& job) {
+  std::uint64_t chunks = 0;
   for (int attempt = 0; attempt < 5; ++attempt) {
     trace::clear_all();
-    result = run(1, [&](Communicator& comm) {
+    const auto before = trace::Metrics::instance().snapshot();
+    run(1, [&](Communicator& comm) {
       std::this_thread::sleep_for(10ms);
       job(comm);
     });
-    if (result.merged.helper_chunks() == 0.0) break;
+    chunks = helper_chunks_since(before);
+    if (chunks == 0) break;
   }
-  return result;
+  return chunks;
 }
 
 std::size_t loop_help_spans() {
@@ -189,11 +225,11 @@ TEST(ParallelForAuto, CheapLoopPublishesNoTask) {
   };
   const trace::Mode saved = trace::mode();
   trace::set_mode(trace::Mode::Full);
-  const RunResult result = run_until_declined(job);
+  const std::uint64_t chunks = run_until_declined(job);
   const std::size_t spans = loop_help_spans();
   trace::set_mode(saved);
   trace::clear_all();
-  EXPECT_EQ(result.merged.helper_chunks(), 0.0);
+  EXPECT_EQ(chunks, 0u);
   EXPECT_EQ(spans, 0u);
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
@@ -206,7 +242,8 @@ TEST(ParallelForAuto, HeavyChunksStillEngageHelpers) {
   warm_pool();
   std::atomic<bool> helped{false};
   const auto deadline = std::chrono::steady_clock::now() + 5s;
-  const RunResult result = run(1, [&](Communicator&) {
+  const auto before = trace::Metrics::instance().snapshot();
+  run(1, [&](Communicator&) {
     const std::thread::id owner = std::this_thread::get_id();
     parallel_for(0, 16, 1, [&](std::size_t lo, std::size_t) {
       std::this_thread::sleep_for(1ms);
@@ -223,7 +260,7 @@ TEST(ParallelForAuto, HeavyChunksStillEngageHelpers) {
     });
   });
   EXPECT_TRUE(helped.load());
-  EXPECT_GE(result.merged.helper_chunks(), 1.0);
+  EXPECT_GE(helper_chunks_since(before), 1u);
 }
 
 TEST(ParallelForAuto, DeclinedLoopKeepsExplicitChunkBoundaries) {
@@ -241,8 +278,7 @@ TEST(ParallelForAuto, DeclinedLoopKeepsExplicitChunkBoundaries) {
       if (k < chunks.size()) chunks[k] = {lo, hi};
     });
   };
-  const RunResult result = run_until_declined(job);
-  EXPECT_EQ(result.merged.helper_chunks(), 0.0);
+  EXPECT_EQ(run_until_declined(job), 0u);
   std::vector<std::pair<std::size_t, std::size_t>> expected;
   for (std::size_t lo = 3; lo < 40; lo += 7) {
     expected.emplace_back(lo, std::min<std::size_t>(lo + 7, 40));
